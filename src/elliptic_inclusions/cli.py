@@ -297,7 +297,7 @@ def parse_config(path):
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "operator": {k: op_cfg[k] for k in sorted(op_cfg)},
-        "relation": _echo_relation(rel_cfg),
+        "relation": rel_cfg,
         "f": f.tolist(),
         "u0": None if u0 is None else u0.tolist(),
         "tol": tol,
@@ -307,14 +307,6 @@ def parse_config(path):
         "checks": list(checks),
     }
     return problem, normalized
-
-
-def _echo_relation(rel_cfg):
-    out = {}
-    for k in sorted(rel_cfg):
-        v = rel_cfg[k]
-        out[k] = v
-    return out
 
 
 def _validate_oracle_applicable(kind, relation, a_built, c_built):

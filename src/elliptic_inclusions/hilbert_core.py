@@ -4,8 +4,9 @@ The central object is the restriction of a matrix to the orthogonal
 complement of its kernel, mapped onto its range.  That restriction is
 invertible, and it powers a three-level norm scale: the graph norm |Ax|
 above, the plain Euclidean norm in the middle, and a dual norm below.
-Dual-norm quantities are always computed through solves with the
-restricted matrix, never by assembling an explicit inverse.
+The restriction is factored once per map by a thin SVD, so dual-norm
+quantities and restricted inverses divide by its singular values in the
+singular bases; no inverse is ever assembled.
 
 Everything is real and dense internally; sparse input is accepted and
 converted (problems here are desk scale, direct factorizations are fine).
@@ -39,10 +40,11 @@ class LinearMap:
     """Real matrix with explicit domain (cols) and codomain (rows) dimensions.
 
     Accepts dense array-likes or scipy sparse matrices; entries must be
-    finite and real.  Instances are immutable.
+    finite and real.  Instances are immutable, so each caches the factors
+    of its restriction (see ``restrict_operator``), keyed by ``tol``.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_restrictions")
 
     def __init__(self, entries):
         if scipy.sparse.issparse(entries):
@@ -58,6 +60,7 @@ class LinearMap:
         a = a.copy()
         a.flags.writeable = False
         self._a = a
+        self._restrictions = {}
 
     @property
     def matrix(self) -> np.ndarray:
@@ -128,13 +131,6 @@ class Subspace:
     def zero(cls, n) -> "Subspace":
         return cls(n, np.zeros((n, 0)))
 
-    @classmethod
-    def from_spanning(cls, vectors, tol=DEFAULT_TOL) -> "Subspace":
-        """Orthonormalize a spanning set (rows or columns stacked as columns)."""
-        v = np.atleast_2d(np.asarray(vectors, dtype=float))
-        q = scipy.linalg.orth(v, rcond=tol)
-        return cls(v.shape[0], q, tol)
-
     @property
     def basis(self) -> np.ndarray:
         return self._basis
@@ -201,86 +197,103 @@ class SobolevNormKind(enum.Enum):
     HM1_C_PLUS_I = "hm1_c_plus_i"
 
 
+def _rank_svd(a, tol, full_v=True):
+    """SVD of ``a`` with its numerical rank under the relative rule.
+
+    Singular values below ``tol * sigma_max`` count as zero.  U is thin;
+    Vh is square when ``full_v``, as the kernel needs.
+    """
+    if tol < 0:
+        raise InputError("tol must be nonnegative")
+    u, s, vh = np.linalg.svd(a, full_matrices=full_v and a.shape[0] < a.shape[1])
+    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    return u, s, vh, rank
+
+
 def kernel_basis(m, tol=DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the null space of ``m``.
 
     Rank decisions use a relative rule: singular values below
     ``tol * sigma_max`` count as zero.
     """
-    if tol < 0:
-        raise InputError("tol must be nonnegative")
     a = as_linear_map(m).matrix
-    if a.shape[0] == 0:
-        return Subspace.full(a.shape[1])
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    _, _, vh, rank = _rank_svd(a, tol)
     return Subspace(a.shape[1], vh[rank:].T, tol)
 
 
 def range_basis(m, tol=DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the column space of ``m``; same rank rule."""
-    if tol < 0:
-        raise InputError("tol must be nonnegative")
     a = as_linear_map(m).matrix
-    if a.shape[1] == 0 or a.shape[0] == 0:
-        return Subspace.zero(a.shape[0])
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    u, _, _, rank = _rank_svd(a, tol, full_v=False)
     return Subspace(a.shape[0], u[:, :rank], tol)
 
 
 class RestrictedOperator:
     """A matrix restricted to its kernel complement, onto its range.
 
-    Holds orthonormal bases of the four fundamental subspaces and the
-    square, invertible coordinate matrix of the restriction (domain
-    coordinates in ``ran_adj``, codomain coordinates in ``ran``).  The
-    smallest singular value of that matrix is the discrete constant in the
-    bound |x| <= const * |Ax| on the kernel complement.
+    Holds orthonormal bases of the kernel, the range and the kernel
+    complement (``ran_adj``), and the singular values ``sv`` of the
+    restriction: in the coordinates of ``ran_adj`` and ``ran`` it is the
+    invertible diagonal matrix ``diag(sv)``.  The smallest singular value
+    is the discrete constant in |x| <= |Ax| / sv[-1] on the kernel
+    complement.
     """
 
-    __slots__ = ("full_map", "ker", "coker", "ran", "ran_adj", "b_matrix", "tol")
+    __slots__ = ("full_map", "ker", "ran", "ran_adj", "sv", "tol")
 
-    def __init__(self, full_map, ker, coker, ran, ran_adj, b_matrix, tol=DEFAULT_TOL):
+    def __init__(self, full_map, ker, ran, ran_adj, sv, tol=DEFAULT_TOL):
         self.full_map = as_linear_map(full_map)
         self.ker = ker
-        self.coker = coker
         self.ran = ran
         self.ran_adj = ran_adj
-        self.b_matrix = as_linear_map(b_matrix)
+        self.sv = np.asarray(sv, dtype=float)
         self.tol = float(tol)
-        b = self.b_matrix.matrix
-        if b.shape[0] != b.shape[1] or b.shape[0] != ran.dim or b.shape[0] != ran_adj.dim:
-            raise InputError("restriction matrix must be square in the reduced bases")
-        if b.shape[0]:
-            sv = np.linalg.svd(b, compute_uv=False)
-            if sv[-1] <= 0.0:
-                raise InputError("restriction matrix is singular")
+        if self.sv.shape != (ran.dim,) or ran.dim != ran_adj.dim:
+            raise InputError("need one singular value per range and kernel-complement direction")
+        if not np.all(self.sv > 0.0):
+            raise InputError("restriction matrix is singular")
 
     @property
     def rank(self) -> int:
-        return self.b_matrix.rows
+        return self.sv.shape[0]
+
+    @property
+    def coker(self) -> Subspace:
+        """Orthogonal complement of the range, derived on demand."""
+        return self.ran.complement()
+
+    @property
+    def b_matrix(self) -> LinearMap:
+        """Coordinate matrix of the restriction, ``diag(sv)``."""
+        return LinearMap(np.diag(self.sv))
 
     def __repr__(self):
         return f"RestrictedOperator(rank={self.rank}, shape={self.full_map.shape})"
 
 
 def restrict_operator(m, tol=DEFAULT_TOL) -> RestrictedOperator:
-    """Build the invertible restriction of ``m`` from a single SVD.
+    """Build the invertible restriction of ``m`` from a single thin SVD.
 
-    The zero map yields a 0-dimensional restriction, which is vacuously
-    invertible; every derived solve then returns the zero vector.
+    The factors are computed once per ``LinearMap`` and ``tol`` and cached
+    on the map; they hold no reference back to it.  The zero map yields a
+    0-dimensional restriction, which is vacuously invertible; every derived
+    solve then returns the zero vector.
     """
     lm = as_linear_map(m)
-    a = lm.matrix
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    ran = Subspace(a.shape[0], u[:, :rank], tol)
-    coker = Subspace(a.shape[0], u[:, rank:], tol)
-    ran_adj = Subspace(a.shape[1], vh[:rank].T, tol)
-    ker = Subspace(a.shape[1], vh[rank:].T, tol)
-    b = ran.basis.T @ (a @ ran_adj.basis)
-    return RestrictedOperator(lm, ker, coker, ran, ran_adj, b, tol)
+    factors = lm._restrictions.get(tol)
+    if factors is None:
+        a = lm.matrix
+        u, s, vh, rank = _rank_svd(a, tol)
+        sv = s[:rank].copy()
+        sv.flags.writeable = False
+        factors = (
+            Subspace(a.shape[1], vh[rank:].T, tol),
+            Subspace(a.shape[0], u[:, :rank], tol),
+            Subspace(a.shape[1], vh[:rank].T, tol),
+            sv,
+        )
+        lm._restrictions[tol] = factors
+    return RestrictedOperator(lm, *factors, tol)
 
 
 def _require_in(space: Subspace, x, tol, what, code=None):
@@ -329,10 +342,8 @@ def sobolev_norm(ctx, kind, x, cmap=None) -> float:
     if kind is SobolevNormKind.H1_B:
         return float(np.linalg.norm(ctx.full_map.matrix @ x))
     # HM1_B: sqrt(<x, (B^T B)^{-1} x>) = |B^{-T} xi| in reduced coordinates
-    if ctx.rank == 0:
-        return 0.0
     xi = ctx.ran_adj.basis.T @ x
-    return float(np.linalg.norm(np.linalg.solve(ctx.b_matrix.matrix.T, xi)))
+    return float(np.linalg.norm(xi / ctx.sv))
 
 
 def b_star_inverse(ctx: RestrictedOperator, f) -> np.ndarray:
@@ -343,21 +354,16 @@ def b_star_inverse(ctx: RestrictedOperator, f) -> np.ndarray:
         "f has a component in the kernel of A",
         code="rhs_not_in_H_minus_1",
     )
-    if ctx.rank == 0:
-        return np.zeros(ctx.full_map.rows)
     phi = ctx.ran_adj.basis.T @ f
-    omega = np.linalg.solve(ctx.b_matrix.matrix.T, phi)
-    return ctx.ran.basis @ omega
+    return ctx.ran.basis @ (phi / ctx.sv)
 
 
 def b_inverse(ctx: RestrictedOperator, v) -> np.ndarray:
     """Unique u in the kernel complement with A u = v, for v in the range of A."""
     v = _as_array_1d(v, ctx.full_map.rows, "v")
     _require_in(ctx.ran, v, ctx.tol, "v has a component outside the range of A")
-    if ctx.rank == 0:
-        return np.zeros(ctx.full_map.cols)
     eta = ctx.ran.basis.T @ v
-    return ctx.ran_adj.basis @ np.linalg.solve(ctx.b_matrix.matrix, eta)
+    return ctx.ran_adj.basis @ (eta / ctx.sv)
 
 
 def embedding_constant(ctx: RestrictedOperator, cmap) -> float:

@@ -365,6 +365,12 @@ def projected_inverse(
         x = subspace.project(s)
         z = shifted.resolvent(lam, 2.0 * x - s)
         gap = float(np.linalg.norm(z - x))
+        if not np.isfinite(gap):
+            raise ConvergenceError(
+                f"projected inverse broke down at iteration {k} (gap {gap})",
+                residual=gap,
+                iterations=k,
+            )
         s = s + z - x
         if gap <= tol_inner:
             x_out = subspace.project(s)

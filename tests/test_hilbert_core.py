@@ -1,5 +1,8 @@
 """Subspace machinery, restricted operators, and the norm scale."""
 
+import gc
+import json
+
 import numpy as np
 import pytest
 import scipy.io
@@ -22,6 +25,7 @@ from elliptic_inclusions import (
     save_basis_columns,
     sobolev_norm,
 )
+from elliptic_inclusions.cli import main
 from helpers import DIRICHLET_GRAD_3, NEUMANN_GRAD_3, random_operator
 
 
@@ -125,6 +129,63 @@ def test_restrict_operator_identity_and_zero():
     assert r_id.rank == 4 and r_id.ker.dim == 0 and r_id.coker.dim == 0
     r_zero = restrict_operator(np.zeros((3, 2)))
     assert r_zero.rank == 0 and r_zero.ker.dim == 2 and r_zero.coker.dim == 3
+
+
+def test_restrict_operator_reuses_factors_per_map_and_tol():
+    lm = LinearMap(NEUMANN_GRAD_3)
+    first = restrict_operator(lm)
+    again = restrict_operator(lm)
+    assert again is not first
+    assert again.ran is first.ran and again.ran_adj is first.ran_adj
+    assert again.ker is first.ker and again.sv is first.sv
+    other = restrict_operator(lm, tol=1e-6)
+    assert other.ran is not first.ran and other.tol == 1e-6
+    assert restrict_operator(lm, tol=1e-6).ran is other.ran
+    raw = restrict_operator(NEUMANN_GRAD_3)
+    assert raw.rank == first.rank == 2
+    assert np.allclose(raw.sv, first.sv)
+
+
+def test_restrict_operator_leaves_no_cyclic_garbage():
+    rng = np.random.default_rng(37)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(4):
+            lm = LinearMap(random_operator(rng, 6, 4, 3))
+            restricted = restrict_operator(lm)
+            assert restricted.coker.dim == 3 and restricted.b_matrix.shape == (3, 3)
+            del lm, restricted
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cli_verify_factors_the_operator_once(tmp_path, monkeypatch):
+    cfg = {
+        "schema_version": 1,
+        "kind": "homogeneous",
+        "operator": {"family": "grad1d", "shape": [6], "h": 1.0, "boundary": "zero"},
+        "relation": {"type": "diagonal", "c": 1.0, "graphs": {"kind": "sign"}},
+        "f": [0.9, -0.4, 1.1, 0.0, 0.3, -0.7],
+        "checks": [],
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert main(["verify", "--config", str(path), "--report",
+                 str(tmp_path / "report.json")]) == 0
+    data = json.loads((tmp_path / "report.json").read_bytes())
+    assert {c["name"] for c in data["checks"]} == {"certificate", "monotonicity",
+                                                   "lipschitz"}
+    assert shapes.count((7, 6)) == 1
 
 
 def test_sobolev_norms_scaled_identity():

@@ -294,6 +294,15 @@ def test_projected_inverse_errors():
     assert info.value.residual is not None
 
 
+def test_projected_inverse_stops_at_first_non_finite_gap():
+    rel = Relation(3, 1.0, lambda mu, z: np.full(3, np.nan), validate=False)
+    sub = Subspace(3, np.array([[1.0], [0.0], [0.0]]))
+    with pytest.raises(ConvergenceError) as info:
+        projected_inverse(rel, sub, np.array([1.0, 0.0, 0.0]))
+    assert info.value.iterations <= 2
+    assert np.isnan(info.value.residual)
+
+
 def test_monotonicity_probe_scaled_identity():
     rel = make_linear(2.5 * np.eye(3))
     report = monotonicity_probe(rel, trials=50, rng_seed=0)
