@@ -80,36 +80,43 @@ class Relay:
 
 
 def _power_base_resolvent(p, mu, z):
-    """Solve s + mu*|s|^(p-2)*s = z by safeguarded Newton with bisection."""
-    if z == 0.0 or mu == 0.0:
-        return z if mu == 0.0 else float(z)
-    sign = 1.0 if z > 0.0 else -1.0
-    t = abs(float(z))
-    lo, hi = 0.0, t
-    s = t / (1.0 + mu)
-    for _ in range(200):
-        g = s + mu * s ** (p - 1.0) - t
-        if abs(g) <= _SCALAR_ROOT_TOL:
-            break
-        if g > 0.0:
-            hi = s
-        else:
-            lo = s
-        if hi - lo <= _SCALAR_ROOT_TOL * max(1.0, t):
-            break
-        if s > 0.0:
-            dg = 1.0 + mu * (p - 1.0) * s ** (p - 2.0)
-            cand = s - g / dg
-        else:
-            cand = 0.5 * (lo + hi)
-        if not np.isfinite(cand) or cand <= lo or cand >= hi:
-            cand = 0.5 * (lo + hi)
-        s = cand
-    return sign * s
+    """Solve s + mu*|s|^(p-2)*s = z coordinatewise by safeguarded Newton.
+
+    Every coordinate runs the same scalar method on t = |z|, all of them in
+    one array pass: the root lies in [0, hi] with hi = min(t, (t/mu)^(1/(p-1)))
+    because mu*s^(p-1) <= t there; start at t/(1+mu) (clipped to hi), take
+    the Newton step when it stays inside the bracket and bisect otherwise,
+    and stop on |g| <= _SCALAR_ROOT_TOL or a bracket narrower than
+    _SCALAR_ROOT_TOL*max(1, hi).  A coordinate that meets its stop is frozen.
+    """
+    if mu == 0.0:
+        return z.copy()
+    t = np.abs(z)
+    e1, e2, k = p - 1.0, p - 2.0, mu * (p - 1.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo = np.zeros_like(t)
+        hi = np.minimum(t, (t / mu) ** (1.0 / e1))
+        width_tol = _SCALAR_ROOT_TOL * np.maximum(1.0, hi)
+        s = np.minimum(t / (1.0 + mu), hi)
+        active = np.ones(t.shape, dtype=bool)
+        for _ in range(200):
+            g = s + mu * s ** e1 - t
+            active &= np.abs(g) > _SCALAR_ROOT_TOL  # NaN input stops here
+            above = g > 0.0
+            np.copyto(hi, s, where=active & above)
+            np.copyto(lo, s, where=active > above)
+            active &= hi - lo > width_tol
+            if not active.any():
+                break
+            cand = s - g / (1.0 + k * s ** e2)
+            # a NaN or infinite candidate fails the bracket test too
+            newton = (s > 0.0) & (cand > lo) & (cand < hi)
+            np.copyto(s, np.where(newton, cand, 0.5 * (lo + hi)), where=active)
+    return np.copysign(s, z)
 
 
 def graph_base_resolvent(graph, mu, z):
-    """Vectorized solve of s + mu * graph(s) in z, one coordinate at a time."""
+    """Vectorized solve of s + mu * graph(s) in z, over the whole array at once."""
     z = np.asarray(z, dtype=float)
     if isinstance(graph, Linear):
         return z / (1.0 + mu * graph.slope)
@@ -126,10 +133,8 @@ def graph_base_resolvent(graph, mu, z):
         h = graph.height
         return np.where(z < 0.0, z, np.where(z > mu * h, z - mu * h, 0.0))
     if isinstance(graph, Power):
-        p = graph.exponent
-        flat = np.atleast_1d(z)
-        out = np.array([_power_base_resolvent(p, mu, zi) for zi in flat])
-        return out.reshape(z.shape) if z.ndim else float(out[0])
+        out = _power_base_resolvent(graph.exponent, mu, np.atleast_1d(z))
+        return out if z.ndim else float(out[0])
     raise InputError(f"unknown scalar graph {graph!r}")
 
 

@@ -1,5 +1,7 @@
 """Resolvent calculus: construction, inversion, shifting, projected inversion."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,8 @@ from elliptic_inclusions import (
     monotonicity_probe,
     projected_inverse,
 )
+from elliptic_inclusions.oracle import _prox
+from elliptic_inclusions.relations import graph_base_resolvent
 from helpers import RELATION_FAMILIES, random_pd_matrix, relation_family
 
 
@@ -74,6 +78,55 @@ def test_diagonal_power_cube():
     rel = make_diagonal(1.0, [Power(3.0)])
     # s + 1*s*|s| = 2 has the root s = 1
     assert rel.base_resolvent(1.0, np.array([2.0]))[0] == pytest.approx(1.0, abs=1e-12)
+
+
+POWER_STEPS = (1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6)
+POWER_INPUTS = np.array(
+    [0.0, -0.0, 1e-12, -3e-9, 2.5e-5, -0.7, 1.0, -2.0, 13.0, -450.0, 8e4, -3e7]
+)
+
+
+@pytest.mark.parametrize("mu", POWER_STEPS)
+def test_power_resolvent_matches_closed_forms(mu):
+    z = POWER_INPUTS
+    quadratic = graph_base_resolvent(Power(2.0), mu, z)
+    np.testing.assert_allclose(quadratic, z / (1.0 + mu), rtol=1e-13, atol=1e-14)
+    # p = 3: s + mu*s*|s| = z has |s| = (sqrt(1 + 4 mu |z|) - 1) / (2 mu),
+    # written here as 2|z| / (1 + sqrt(1 + 4 mu |z|)) to avoid cancellation
+    t = np.abs(z)
+    cube = np.sign(z) * 2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * mu * t))
+    got = graph_base_resolvent(Power(3.0), mu, z)
+    np.testing.assert_allclose(got, cube, rtol=1e-13, atol=1e-14)
+    assert np.array_equal(np.signbit(got), np.signbit(z))
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.5, 4.0, 7.0])
+@pytest.mark.parametrize("mu", POWER_STEPS)
+def test_power_resolvent_matches_oracle_bisection(p, mu):
+    z = POWER_INPUTS
+    got = graph_base_resolvent(Power(p), mu, z)
+    np.testing.assert_allclose(got, _prox(Power(p), mu, z), rtol=1e-12, atol=1e-14)
+
+
+def test_power_resolvent_returns_float_for_scalar_input():
+    value = graph_base_resolvent(Power(3.0), 1.0, 2.0)
+    assert type(value) is float
+    assert value == pytest.approx(1.0, abs=1e-14)
+    assert graph_base_resolvent(Power(3.0), 1.0, -0.0) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("z", [1e300, -1e300, 1e200, 1e10])
+def test_power_resolvent_huge_inputs(p, z):
+    # the bracket [0, min(|z|, |z|^(1/(p-1)))] keeps s^(p-1) finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = graph_base_resolvent(Power(p), 1.0, np.array([z]))[0]
+        x = make_diagonal(1.0, [Power(p)]).inverse(np.array([z]))[0]
+    for root in (s, x):
+        residual = root + np.abs(root) ** (p - 2.0) * root - z
+        assert np.isfinite(root)
+        assert abs(residual) <= 1e-12 * abs(z)
 
 
 def test_power_rejects_bad_exponent():
@@ -335,6 +388,7 @@ def test_concurrent_resolvent_evaluation_is_consistent():
     relations = [
         make_linear(random_pd_matrix(rng, 4)),
         make_diagonal(1.0, [Sign(), Linear(2.0), Clamp(-1.0, 1.0), Relay(0.5)]),
+        make_diagonal(1.0, [Power(3.0), Power(1.5), Sign(), Linear(2.0)]),
     ]
     inputs = [rng.standard_normal(4) for _ in range(40)]
     for rel in relations:
