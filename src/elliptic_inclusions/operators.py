@@ -69,10 +69,9 @@ class OperatorSpec:
 
 @dataclass
 class BuiltOperator:
-    """A constructed difference operator plus what is known about its kernel."""
+    """A constructed difference operator plus its Voigt weights, if any."""
 
     matrix: LinearMap
-    kernel_hint: str
     voigt_weights: np.ndarray | None = None
     spec: OperatorSpec | None = field(default=None, repr=False)
 
@@ -138,7 +137,7 @@ def free_gradient_3d(shape, h=1.0) -> BuiltOperator:
     if not (h > 0.0):
         raise ConstructionError("grid spacing h must be positive")
     matrix, _ = _free_gradient(shape, h)
-    return BuiltOperator(LinearMap(matrix), "constants on connected grid")
+    return BuiltOperator(LinearMap(matrix))
 
 
 def _free_curl_3d(shape, h):
@@ -202,31 +201,26 @@ def build_operator(spec: OperatorSpec) -> BuiltOperator:
     """
     if spec.family == CUSTOM:
         matrix = load_matrix_market(spec.path)
-        return BuiltOperator(matrix, "unknown (custom operator)", spec=spec)
+        return BuiltOperator(matrix, spec=spec)
 
     if spec.family in (GRAD_1D, GRAD_2D):
         builder, components = _free_gradient, 1
-        free_hint = "constants on connected grid"
     elif spec.family == SYMGRAD_2D:
         builder, components = _free_symgrad_2d, 2
-        free_hint = "rigid displacements (translations and one rotation)"
     elif spec.family == CURL_3D:
         if spec.boundary == ZERO_BOUNDARY:
             raise ConstructionError("only the free curl variant is built")
         matrix, _ = _free_curl_3d(spec.shape, spec.h)
-        return BuiltOperator(LinearMap(matrix), "discrete gradients of node potentials",
-                             spec=spec)
+        return BuiltOperator(LinearMap(matrix), spec=spec)
     else:  # pragma: no cover - guarded by OperatorSpec
         raise ConstructionError(f"unknown operator family {spec.family!r}")
 
     if spec.boundary == FREE:
         matrix, weights = builder(spec.shape, spec.h)
-        hint = free_hint
     else:
         matrix, weights = _zero_boundary_from_free(spec.shape, spec.h, builder,
                                                    components)
-        hint = "trivial (zero boundary on connected grid)"
-    return BuiltOperator(LinearMap(matrix), hint, voigt_weights=weights, spec=spec)
+    return BuiltOperator(LinearMap(matrix), voigt_weights=weights, spec=spec)
 
 
 def operator_pair(spec: OperatorSpec):
@@ -250,14 +244,11 @@ def operator_pair(spec: OperatorSpec):
     small = build_operator(OperatorSpec(spec.family, interior, spec.h, ZERO_BOUNDARY))
     big = build_operator(OperatorSpec(spec.family, spec.shape, spec.h, FREE))
     components = 2 if spec.family == SYMGRAD_2D else 1
-    ext = spec.shape
-    grid = np.arange(int(np.prod(ext))).reshape(ext)
-    interior_flat = grid[tuple(slice(1, -1) for _ in ext)].ravel()
-    n_total = int(np.prod(ext))
-    cols = np.concatenate([interior_flat + comp * n_total for comp in range(components)])
-    basis = np.zeros((components * n_total, cols.size))
+    n_total = components * int(np.prod(spec.shape))
+    cols = _interior_columns(interior, components)
+    basis = np.zeros((n_total, cols.size))
     basis[cols, np.arange(cols.size)] = 1.0
-    return small, big, Subspace(components * n_total, basis)
+    return small, big, Subspace(n_total, basis)
 
 
 def negative_adjoint(m) -> LinearMap:

@@ -55,6 +55,8 @@ class Problem:
     problems also carry the extension ``C`` and the ``inclusion`` subspace
     embedding A's domain into C's; flux-data problems carry the restriction
     the other way around (``C`` optional there, used for validation only).
+    Either pair is checked exactly here, and a boundary-data problem keeps
+    the composed map ``C E`` (E the inclusion basis) as ``effective``.
     """
 
     kind: str
@@ -67,6 +69,8 @@ class Problem:
     tol: float = 1e-10
     lam: float | None = None
     max_iter: int = 100000
+    effective: LinearMap | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -94,6 +98,8 @@ class Problem:
                 raise InputError("inclusion dimension must match the domain of A")
             if self.relation.dim != self.C.rows:
                 raise InputError("relation must live on the codomain of C")
+            self.effective = _checked_restriction(self.A, self.C,
+                                                  self.inclusion.basis, "A", "C")
         if self.kind == NEUMANN:
             if self.inclusion is None:
                 raise InputError("flux-data problems need the inclusion subspace")
@@ -103,6 +109,30 @@ class Problem:
                 raise InputError("relation must live on the codomain of A")
             if self.u0 is not None and self.u0.shape != (self.A.rows,):
                 raise InputError("u0 must live in the codomain of A")
+            if self.C is not None:
+                if self.C.cols != self.inclusion.dim:
+                    raise InputError("inclusion dimension must match the domain of C")
+                _checked_restriction(self.C, self.A, self.inclusion.basis, "C", "A")
+
+
+def _checked_restriction(small: LinearMap, big: LinearMap, embed: np.ndarray,
+                         small_name: str, big_name: str) -> LinearMap:
+    """``big`` composed with the embedding, checked to agree with ``small``.
+
+    The zero-boundary builder enumerates only the codomain rows its own
+    stencil touches, so ``small`` and ``big E`` can differ by a row
+    permutation plus zero rows.  Norms agree on every vector exactly when
+    the Gram matrices agree, which is what is compared (Frobenius norm).
+    """
+    eff = LinearMap(big.matrix @ embed)
+    gram = small.matrix.T @ small.matrix
+    gap = float(np.linalg.norm(gram - eff.matrix.T @ eff.matrix))
+    if gap > 1e-9 * max(1.0, float(np.linalg.norm(gram))):
+        raise InputError(
+            f"{small_name} is not the restriction of {big_name} to the inclusion "
+            f"subspace (Gram matrices differ by {gap:.6e})"
+        )
+    return eff
 
 
 @dataclass
@@ -185,7 +215,7 @@ def _homogeneous_core(a_map, relation, f, tol, lam, max_iter, dr_start=None):
 
 def _certify(diagnostics, tol):
     bad = {k: v for k, v in diagnostics.items()
-           if k.startswith("residual_") and v > 10.0 * tol}
+           if k.startswith("residual_") and not v <= 10.0 * tol}
     if bad:
         worst = max(bad.values())
         raise ConvergenceError(
@@ -223,27 +253,6 @@ def solve_homogeneous(problem: Problem, dr_start=None) -> Solution:
     return Solution(u=u, certificate=point, w=w, diagnostics=diagnostics)
 
 
-def _effective_restriction(problem: Problem) -> LinearMap:
-    """C composed with the domain embedding; must agree with A in norm.
-
-    The zero-boundary builder enumerates only the codomain rows its own
-    stencil touches, so the user-facing A and C * embedding can differ by a
-    row permutation plus zero rows; norms agree exactly.
-    """
-    eff = LinearMap(problem.C.matrix @ problem.inclusion.basis)
-    k = eff.cols
-    probes = [np.ones(k), np.cos(np.arange(k)), np.arange(1.0, k + 1) / k]
-    for v in probes:
-        na = float(np.linalg.norm(problem.A.matrix @ v))
-        ne = float(np.linalg.norm(eff.matrix @ v))
-        if abs(na - ne) > 1e-9 * max(1.0, na, ne):
-            raise InputError(
-                "A is not the restriction of C to the inclusion subspace "
-                f"(|A v| = {na:.6e} vs |C E v| = {ne:.6e})"
-            )
-    return eff
-
-
 def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
     """Solve A^T a(C u) in f with u - u0 constrained to the zero-boundary space.
 
@@ -258,7 +267,7 @@ def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
     u0 = np.asarray(problem.u0, dtype=float)
     if u0.shape != (problem.C.cols,):
         raise InputError("u0 must live in the domain of C")
-    eff = _effective_restriction(problem)
+    eff = problem.effective
     cu0 = problem.C.matrix @ u0
     shifted = problem.relation.shift(cu0, np.zeros_like(cu0))
     restricted, w, g, v, point, iters, u_red = _homogeneous_core(
@@ -289,22 +298,18 @@ def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
     return Solution(u=u, certificate=cert, w=w, diagnostics=diagnostics)
 
 
-def _admissible_test_space(restricted: RestrictedOperator, inclusion: Subspace):
-    """W = kernel complement of A intersected with the inclusion subspace."""
-    return restricted.ran_adj.intersect(inclusion)
+def _test_space(restricted: RestrictedOperator, inclusion: Subspace):
+    """Basis of W = kernel complement of A intersected with the inclusion
+    subspace (the admissible test space), and its image A W."""
+    wb = restricted.ran_adj.intersect(inclusion).basis
+    return wb, restricted.full_map.matrix @ wb
 
 
-def _graph_inner_complement(restricted, w_space: Subspace) -> np.ndarray:
-    """Basis (plain-orthonormal) of the complement of W inside the kernel
-    complement, orthogonal in the graph inner product <A., A.>."""
-    q1 = restricted.ran_adj.basis
-    r = q1.shape[1]
-    if w_space.dim == 0:
-        return q1
-    aw = restricted.full_map.matrix @ w_space.basis
-    cross = aw.T @ (restricted.full_map.matrix @ q1)  # dim(W) x r
-    coeff = kernel_basis(LinearMap(cross)).basis
-    return q1 @ coeff
+def _normalized_max(images, values) -> float:
+    """Largest |value| / |image| over columns; |value| where the image is 0."""
+    scale = np.linalg.norm(images, axis=0)
+    return float(np.max(np.abs(values) / np.where(scale > 0, scale, 1.0),
+                        initial=0.0))
 
 
 def solve_neumann(problem: Problem, dr_start=None) -> Solution:
@@ -320,31 +325,18 @@ def solve_neumann(problem: Problem, dr_start=None) -> Solution:
     if problem.kind != NEUMANN:
         raise InputError(f"expected a flux-data problem, got {problem.kind!r}")
     amat = problem.A.matrix
-    if problem.C is not None:
-        eff = amat @ problem.inclusion.basis
-        k = eff.shape[1]
-        for v in (np.ones(k), np.cos(np.arange(k))):
-            na = float(np.linalg.norm(problem.C.matrix @ v))
-            ne = float(np.linalg.norm(eff @ v))
-            if abs(na - ne) > 1e-9 * max(1.0, na, ne):
-                raise InputError(
-                    "C is not the restriction of A to the inclusion subspace"
-                )
     u0 = (np.zeros(problem.A.rows) if problem.u0 is None
           else np.asarray(problem.u0, dtype=float))
     restricted = restrict_operator(problem.A)
-    w_space = _admissible_test_space(restricted, problem.inclusion)
+    wb, aw = _test_space(restricted, problem.inclusion)
     q1 = restricted.ran_adj.basis
 
-    if w_space.dim:
-        aw = amat @ w_space.basis
-        gram = aw.T @ aw
-        # coordinates of the graph-orthogonal projection of each q1 column
-        proj = np.linalg.solve(gram, aw.T @ (amat @ q1))  # dim(W) x r
-        gamma = proj.T @ (w_space.basis.T @ problem.f - aw.T @ u0)
-    else:
-        gamma = np.zeros(q1.shape[1])
-    g = q1 @ gamma
+    cross = aw.T @ (amat @ q1)  # dim(W) x r
+    # coordinates of the graph-orthogonal projection of each q1 column
+    proj = np.linalg.solve(aw.T @ aw, cross)
+    g = q1 @ (proj.T @ (wb.T @ problem.f - aw.T @ u0))
+    # complement of W inside the kernel complement, graph-orthogonal to W
+    comp = q1 @ kernel_basis(LinearMap(cross)).basis
 
     shifted = problem.relation.shift(np.zeros(problem.A.rows), u0)
     _, w_vec, gg, y, point, iters, u = _homogeneous_core(
@@ -355,29 +347,11 @@ def solve_neumann(problem: Problem, dr_start=None) -> Solution:
     cert = GraphPoint(au, v, problem.relation.graph_residual(au, v),
                       iterations=point.iterations)
 
-    def _normalized_max(vectors, values):
-        worst = 0.0
-        for col, val in zip(vectors.T, values):
-            scale = float(np.linalg.norm(amat @ col))
-            worst = max(worst, abs(val) / scale if scale > 0 else abs(val))
-        return worst
-
-    if w_space.dim:
-        wb = w_space.basis
-        weak = wb.T @ problem.f - (amat @ wb).T @ v
-        residual_weak = _normalized_max(wb, weak)
-    else:
-        residual_weak = 0.0
-    comp = _graph_inner_complement(restricted, w_space)
-    if comp.shape[1]:
-        bdy = (amat @ comp).T @ (v - u0)
-        residual_bdy = _normalized_max(comp, bdy)
-        report_wperp = _normalized_max(comp, comp.T @ problem.f)
-    else:
-        residual_bdy = 0.0
-        report_wperp = 0.0
-    kerb = restricted.ker.basis
-    compat = kerb.T @ (problem.f - amat.T @ u0) if kerb.shape[1] else np.zeros(0)
+    acomp = amat @ comp
+    residual_weak = _normalized_max(aw, wb.T @ problem.f - aw.T @ v)
+    residual_bdy = _normalized_max(acomp, acomp.T @ (v - u0))
+    report_wperp = _normalized_max(acomp, comp.T @ problem.f)
+    compat = restricted.ker.basis.T @ (problem.f - amat.T @ u0)
 
     diagnostics = {
         "residual_graph": cert.residual,
@@ -388,7 +362,7 @@ def solve_neumann(problem: Problem, dr_start=None) -> Solution:
         "norm_u_h0": float(np.linalg.norm(u)),
         "norm_u_h1_b": float(np.linalg.norm(au)),
         "norm_xi_hm1_b": sobolev_norm(restricted, SobolevNormKind.HM1_B, g),
-        "report_compat_kernel_max": float(np.max(np.abs(compat))) if compat.size else 0.0,
+        "report_compat_kernel_max": float(np.max(np.abs(compat), initial=0.0)),
         "report_wperp_discrepancy_max": report_wperp,
         "n_iterations": iters,
     }
@@ -431,7 +405,7 @@ def verify_dirichlet_estimate(p1: Problem, p2: Problem,
     _require_same_setting(p1, p2, DIRICHLET)
     relation = p1.relation
     c = relation.c
-    eff = _effective_restriction(p1)
+    eff = p1.effective
     restricted = restrict_operator(eff)
     du0 = p1.u0 - p2.u0
     cdu0 = p1.C.matrix @ du0
@@ -477,17 +451,11 @@ def verify_neumann_estimate(p1: Problem, p2: Problem,
     c = p1.relation.c
     amat = p1.A.matrix
     restricted = restrict_operator(p1.A)
-    w_space = _admissible_test_space(restricted, p1.inclusion)
+    wb, aw = _test_space(restricted, p1.inclusion)
     u0_1 = np.zeros(p1.A.rows) if p1.u0 is None else p1.u0
     u0_2 = np.zeros(p2.A.rows) if p2.u0 is None else p2.u0
-    if w_space.dim:
-        wb = w_space.basis
-        aw = amat @ wb
-        delta = wb.T @ (p1.f - p2.f) - aw.T @ (u0_1 - u0_2)
-        gram = aw.T @ aw
-        dual = float(np.sqrt(max(float(delta @ np.linalg.solve(gram, delta)), 0.0)))
-    else:
-        dual = 0.0
+    delta = wb.T @ (p1.f - p2.f) - aw.T @ (u0_1 - u0_2)
+    dual = float(np.sqrt(max(float(delta @ np.linalg.solve(aw.T @ aw, delta)), 0.0)))
     data_gap = float(np.linalg.norm(restricted.ran.project(u0_1 - u0_2)))
     rhs = (dual + data_gap) / c
     lhs = float(np.linalg.norm(amat @ (s1.u - s2.u)))

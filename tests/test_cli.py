@@ -168,6 +168,33 @@ def test_main_verify_dirichlet(tmp_path):
     assert all(c["pass"] for c in data["checks"])
 
 
+def test_dirichlet_verify_factors_the_effective_map_once(tmp_path, monkeypatch):
+    cfg = {
+        "schema_version": 1,
+        "kind": "dirichlet",
+        "operator": {"family": "grad2d", "shape": [4, 4], "h": 1.0},
+        "relation": {"type": "linear", "matrix": (2.0 * np.eye(24)).tolist()},
+        "f": [0.5, -0.2, 0.1, 0.3],
+        "u0": np.linspace(0.0, 1.0, 16).tolist(),
+        "seed": 3,
+    }
+    path = write_config(tmp_path, cfg)
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert main(["verify", "--config", str(path), "--report",
+                 str(tmp_path / "report.json")]) == 0
+    data = json.loads((tmp_path / "report.json").read_bytes())
+    assert "dirichlet_estimate" in {c["name"] for c in data["checks"]}
+    # C E is 24 x 4 (free grad2d rows, interior columns); A itself is 12 x 4
+    assert shapes.count((24, 4)) == 1
+
+
 def test_main_oracle_check_subcommand(tmp_path, capsys):
     path = write_config(tmp_path, poisson_config())
     code = main(["oracle-check", "--config", str(path)])
@@ -175,6 +202,27 @@ def test_main_oracle_check_subcommand(tmp_path, capsys):
     assert code == 0
     data = json.loads(captured.out)
     assert data["checks"][0]["name"] == "oracle"
+
+
+def test_oracle_check_on_neumann_is_a_config_error(tmp_path):
+    cfg = {
+        "schema_version": 1,
+        "kind": "neumann",
+        "operator": {"family": "grad1d", "shape": [5], "h": 1.0},
+        "relation": {"type": "diagonal", "c": 1.5, "graphs": {"kind": "sign"}},
+        "f": [1.0, -0.5, 0.25, -0.5, -0.25],
+        "checks": ["certificate"],
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "report.json"
+    assert main(["oracle-check", "--config", str(path), "--report", str(out)]) == 2
+    error = json.loads(out.read_bytes())["error"]
+    assert error["code"] == "config_error"
+    assert error["field"] == "checks"
+    listed = run_config(write_config(tmp_path, dict(cfg, checks=["oracle"]),
+                                     name="listed.json"))
+    assert listed.exit_code == 2
+    assert listed.data["error"]["message"] == error["message"]
 
 
 def test_main_exit_code_for_config_error(tmp_path):

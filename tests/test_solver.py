@@ -6,11 +6,13 @@ import scipy.linalg
 
 from elliptic_inclusions import (
     CapabilityError,
+    ConvergenceError,
     DomainError,
     InputError,
     LinearMap,
     OperatorSpec,
     Problem,
+    Relation,
     Sign,
     SobolevNormKind,
     lipschitz_probe,
@@ -122,6 +124,14 @@ def test_factorization_matches_dense_reduced_solve():
         assert np.linalg.norm(u - u_ref) <= 1e-9 * scale
 
 
+def test_non_finite_residuals_fail_certification():
+    rel = Relation(3, 1.0, lambda mu, z: np.full(np.shape(z), np.nan),
+                   validate=False)
+    problem = Problem("homogeneous", np.eye(3), rel, np.ones(3))
+    with pytest.raises(ConvergenceError, match="exceed 10"):
+        solve_homogeneous(problem)
+
+
 def test_homogeneous_certificates_random_relations():
     rng = np.random.default_rng(2)
     tol = 1e-10
@@ -213,10 +223,44 @@ def test_dirichlet_rejects_inconsistent_operator_pair():
     _, big, inclusion = grad1d_pair(5)
     rel = make_linear(np.eye(4))
     wrong_small = LinearMap(2.0 * DIRICHLET_GRAD_3)
-    problem = Problem("dirichlet", wrong_small, rel, np.zeros(3),
-                      C=big.matrix, inclusion=inclusion, u0=np.zeros(5))
-    with pytest.raises(InputError):
-        solve_dirichlet(problem)
+    with pytest.raises(InputError, match="restriction"):
+        Problem("dirichlet", wrong_small, rel, np.zeros(3),
+                C=big.matrix, inclusion=inclusion, u0=np.zeros(5))
+
+
+def test_pairs_differing_off_the_probe_vectors_are_rejected():
+    small, big, inclusion = grad1d_pair(7)
+    # a rank-one change of one row, invisible on a few fixed probe vectors
+    probes = np.array([np.ones(5), np.cos(np.arange(5)), np.arange(1.0, 6) / 5])
+    wrong = small.matrix.matrix.copy()
+    wrong[1] += scipy.linalg.null_space(probes)[:, 0]
+    assert np.allclose(np.linalg.norm(wrong @ probes.T, axis=0),
+                       np.linalg.norm(small.matrix.matrix @ probes.T, axis=0))
+    with pytest.raises(InputError, match="A is not the restriction of C"):
+        Problem("dirichlet", wrong, make_linear(np.eye(6)), np.zeros(5),
+                C=big.matrix, inclusion=inclusion, u0=np.zeros(7))
+    with pytest.raises(InputError, match="C is not the restriction of A"):
+        Problem("neumann", big.matrix, make_linear(np.eye(6)), np.zeros(7),
+                C=wrong, inclusion=inclusion)
+
+
+def test_consistent_pairs_keep_the_effective_map():
+    small, big, inclusion = grad1d_pair(7)
+    rel = make_linear(np.eye(6))
+    problem = Problem("dirichlet", small.matrix, rel, np.zeros(5),
+                      C=big.matrix, inclusion=inclusion, u0=np.zeros(7))
+    assert np.array_equal(problem.effective.matrix,
+                          big.matrix.matrix @ inclusion.basis)
+    neumann = Problem("neumann", big.matrix, rel, np.zeros(7),
+                      C=small.matrix, inclusion=inclusion)
+    assert neumann.effective is None
+
+
+def test_neumann_rejects_c_with_the_wrong_domain():
+    small, big, inclusion = grad1d_pair(5)
+    with pytest.raises(InputError, match="domain of C"):
+        Problem("neumann", big.matrix, make_linear(np.eye(4)), np.zeros(5),
+                C=LinearMap(small.matrix.matrix[:, :-1]), inclusion=inclusion)
 
 
 def neumann_problem(n, rel, f, u0=None, tol=1e-10):
