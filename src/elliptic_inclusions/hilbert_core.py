@@ -41,7 +41,9 @@ class LinearMap:
 
     Accepts dense array-likes or scipy sparse matrices; entries must be
     finite and real.  Instances are immutable, so each caches the factors
-    of its restriction (see ``restrict_operator``), keyed by ``tol``.
+    of its restriction (see ``restrict_operator``), keyed by ``tol``, and
+    its checked compositions with inclusion subspaces (see
+    ``solver._checked_restriction``), keyed by the restricted map and subspace.
     """
 
     __slots__ = ("_a", "_restrictions")
@@ -158,10 +160,11 @@ class Subspace:
         x = _as_array_1d(x, self.ambient_dim, "x")
         return float(np.linalg.norm(x - self.project(x)))
 
-    def contains(self, x, tol=None) -> bool:
-        x = _as_array_1d(x, self.ambient_dim, "x")
-        tol = self._tol if tol is None else tol
-        return self.membership_residual(x) <= tol * max(1.0, float(np.linalg.norm(x)))
+    def require(self, x, tol, what, code=None) -> None:
+        """Raise ``DomainError`` unless |x - P x| <= tol * max(1, |x|)."""
+        resid = self.membership_residual(x)
+        if resid > tol * max(1.0, float(np.linalg.norm(x))):
+            raise DomainError(f"{what} (off-subspace component {resid:.3e})", code=code)
 
     def complement(self) -> "Subspace":
         """Orthogonal complement within the ambient space."""
@@ -257,16 +260,6 @@ class RestrictedOperator:
     def rank(self) -> int:
         return self.sv.shape[0]
 
-    @property
-    def coker(self) -> Subspace:
-        """Orthogonal complement of the range, derived on demand."""
-        return self.ran.complement()
-
-    @property
-    def b_matrix(self) -> LinearMap:
-        """Coordinate matrix of the restriction, ``diag(sv)``."""
-        return LinearMap(np.diag(self.sv))
-
     def __repr__(self):
         return f"RestrictedOperator(rank={self.rank}, shape={self.full_map.shape})"
 
@@ -294,15 +287,6 @@ def restrict_operator(m, tol=DEFAULT_TOL) -> RestrictedOperator:
         )
         lm._restrictions[tol] = factors
     return RestrictedOperator(lm, *factors, tol)
-
-
-def _require_in(space: Subspace, x, tol, what, code=None):
-    resid = space.membership_residual(x)
-    if resid > tol * max(1.0, float(np.linalg.norm(x))):
-        raise DomainError(
-            f"{what} (off-subspace component {resid:.3e})", code=code
-        )
-    return resid
 
 
 def sobolev_norm(ctx, kind, x, cmap=None) -> float:
@@ -338,7 +322,7 @@ def sobolev_norm(ctx, kind, x, cmap=None) -> float:
     if ctx is None:
         raise InputError(f"{kind.value} needs a RestrictedOperator context")
     x = _as_array_1d(x, ctx.full_map.cols, "x")
-    _require_in(ctx.ran_adj, x, ctx.tol, "x must lie in the kernel complement")
+    ctx.ran_adj.require(x, ctx.tol, "x must lie in the kernel complement")
     if kind is SobolevNormKind.H1_B:
         return float(np.linalg.norm(ctx.full_map.matrix @ x))
     # HM1_B: sqrt(<x, (B^T B)^{-1} x>) = |B^{-T} xi| in reduced coordinates
@@ -349,11 +333,8 @@ def sobolev_norm(ctx, kind, x, cmap=None) -> float:
 def b_star_inverse(ctx: RestrictedOperator, f) -> np.ndarray:
     """Unique w in the range of A with A^T w = f, for f in the kernel complement."""
     f = _as_array_1d(f, ctx.full_map.cols, "f")
-    _require_in(
-        ctx.ran_adj, f, ctx.tol,
-        "f has a component in the kernel of A",
-        code="rhs_not_in_H_minus_1",
-    )
+    ctx.ran_adj.require(f, ctx.tol, "f has a component in the kernel of A",
+                        code="rhs_not_in_H_minus_1")
     phi = ctx.ran_adj.basis.T @ f
     return ctx.ran.basis @ (phi / ctx.sv)
 
@@ -361,7 +342,7 @@ def b_star_inverse(ctx: RestrictedOperator, f) -> np.ndarray:
 def b_inverse(ctx: RestrictedOperator, v) -> np.ndarray:
     """Unique u in the kernel complement with A u = v, for v in the range of A."""
     v = _as_array_1d(v, ctx.full_map.rows, "v")
-    _require_in(ctx.ran, v, ctx.tol, "v has a component outside the range of A")
+    ctx.ran.require(v, ctx.tol, "v has a component outside the range of A")
     eta = ctx.ran.basis.T @ v
     return ctx.ran_adj.basis @ (eta / ctx.sv)
 

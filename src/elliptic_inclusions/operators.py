@@ -11,7 +11,7 @@ interior vector reproduces the zero-boundary operator row for row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,7 +73,6 @@ class BuiltOperator:
 
     matrix: LinearMap
     voigt_weights: np.ndarray | None = None
-    spec: OperatorSpec | None = field(default=None, repr=False)
 
 
 def _diff_1d(n):
@@ -201,7 +200,7 @@ def build_operator(spec: OperatorSpec) -> BuiltOperator:
     """
     if spec.family == CUSTOM:
         matrix = load_matrix_market(spec.path)
-        return BuiltOperator(matrix, spec=spec)
+        return BuiltOperator(matrix)
 
     if spec.family in (GRAD_1D, GRAD_2D):
         builder, components = _free_gradient, 1
@@ -211,7 +210,7 @@ def build_operator(spec: OperatorSpec) -> BuiltOperator:
         if spec.boundary == ZERO_BOUNDARY:
             raise ConstructionError("only the free curl variant is built")
         matrix, _ = _free_curl_3d(spec.shape, spec.h)
-        return BuiltOperator(LinearMap(matrix), spec=spec)
+        return BuiltOperator(LinearMap(matrix))
     else:  # pragma: no cover - guarded by OperatorSpec
         raise ConstructionError(f"unknown operator family {spec.family!r}")
 
@@ -220,7 +219,7 @@ def build_operator(spec: OperatorSpec) -> BuiltOperator:
     else:
         matrix, weights = _zero_boundary_from_free(spec.shape, spec.h, builder,
                                                    components)
-    return BuiltOperator(LinearMap(matrix), voigt_weights=weights, spec=spec)
+    return BuiltOperator(LinearMap(matrix), voigt_weights=weights)
 
 
 def operator_pair(spec: OperatorSpec):

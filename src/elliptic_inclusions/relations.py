@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConstructionError, ConvergenceError, DomainError, InputError
+from .errors import ConstructionError, ConvergenceError, InputError
 from .hilbert_core import Subspace, as_linear_map
 
 DEFAULT_PROJECTED_TOL = 1e-10
 DEFAULT_MAX_ITER = 100000
 
 _SCALAR_ROOT_TOL = 1e-14
+_SCALAR_ROOT_FLOOR = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +87,10 @@ def _power_base_resolvent(p, mu, z):
     one array pass: the root lies in [0, hi] with hi = min(t, (t/mu)^(1/(p-1)))
     because mu*s^(p-1) <= t there; start at t/(1+mu) (clipped to hi), take
     the Newton step when it stays inside the bracket and bisect otherwise,
-    and stop on |g| <= _SCALAR_ROOT_TOL or a bracket narrower than
-    _SCALAR_ROOT_TOL*max(1, hi).  A coordinate that meets its stop is frozen.
+    and stop on |g| <= _SCALAR_ROOT_TOL*min(t, 1) (floored at
+    _SCALAR_ROOT_FLOOR) or a bracket narrower than _SCALAR_ROOT_TOL*hi; both
+    stops are relative, so tiny roots are resolved too.  A coordinate that
+    meets its stop is frozen.
     """
     if mu == 0.0:
         return z.copy()
@@ -96,16 +99,16 @@ def _power_base_resolvent(p, mu, z):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         lo = np.zeros_like(t)
         hi = np.minimum(t, (t / mu) ** (1.0 / e1))
-        width_tol = _SCALAR_ROOT_TOL * np.maximum(1.0, hi)
+        g_tol = np.maximum(_SCALAR_ROOT_TOL * np.minimum(t, 1.0), _SCALAR_ROOT_FLOOR)
         s = np.minimum(t / (1.0 + mu), hi)
         active = np.ones(t.shape, dtype=bool)
         for _ in range(200):
             g = s + mu * s ** e1 - t
-            active &= np.abs(g) > _SCALAR_ROOT_TOL  # NaN input stops here
+            active &= np.abs(g) > g_tol  # NaN input stops here
             above = g > 0.0
             np.copyto(hi, s, where=active & above)
             np.copyto(lo, s, where=active > above)
-            active &= hi - lo > width_tol
+            active &= hi - lo > _SCALAR_ROOT_TOL * hi
             if not active.any():
                 break
             cand = s - g / (1.0 + k * s ** e2)
@@ -158,17 +161,6 @@ class DiagonalDescriptor:
 
     def __init__(self, graphs):
         self.graphs = tuple(graphs)
-
-
-class ShiftedDescriptor:
-    """Relation translated in graph space by (p, q)."""
-
-    __slots__ = ("base", "p", "q")
-
-    def __init__(self, base, p, q):
-        self.base = base
-        self.p = p
-        self.q = q
 
 
 @dataclass
@@ -264,10 +256,7 @@ class Relation:
         def shifted_base(mu, z):
             return np.asarray(base(mu, np.asarray(z) + p + mu * offset)) - p
 
-        return Relation(
-            self.dim, c, shifted_base,
-            descriptor=ShiftedDescriptor(self, p, q), validate=False,
-        )
+        return Relation(self.dim, c, shifted_base, validate=False)
 
     def __repr__(self):
         return f"Relation(dim={self.dim}, c={self.c})"
@@ -354,9 +343,7 @@ def projected_inverse(
     w = relation._check_dim(w, "w")
     if subspace.ambient_dim != relation.dim:
         raise InputError("subspace ambient dimension does not match the relation")
-    wnorm = float(np.linalg.norm(w))
-    if subspace.membership_residual(w) > tol * max(1.0, wnorm):
-        raise DomainError("w must lie in the projection subspace")
+    subspace.require(w, tol, "w must lie in the projection subspace")
     if lam is None:
         lam = 1.0 / relation.c
     elif not (lam > 0.0):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, ConvergenceError, DomainError, InputError
+from .errors import CapabilityError, ConvergenceError, InputError
 from .hilbert_core import (
     LinearMap,
     RestrictedOperator,
@@ -47,16 +47,18 @@ def _as_operator(value) -> LinearMap:
     return as_linear_map(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
-    """One inclusion to solve.
+    """One inclusion to solve; immutable, and checked once when built.
 
     ``A`` is the operator whose restriction drives the solve.  Boundary-data
-    problems also carry the extension ``C`` and the ``inclusion`` subspace
-    embedding A's domain into C's; flux-data problems carry the restriction
-    the other way around (``C`` optional there, used for validation only).
+    problems also carry the extension ``C``, the ``inclusion`` subspace
+    embedding A's domain into C's and the boundary data ``u0``; flux-data
+    problems carry the restriction the other way around (``C`` optional
+    there, used for validation only) and flux data ``u0`` (zero if omitted).
     Either pair is checked exactly here, and a boundary-data problem keeps
     the composed map ``C E`` (E the inclusion basis) as ``effective``.
+    Build variants with ``dataclasses.replace``, which runs the checks again.
     """
 
     kind: str
@@ -75,63 +77,78 @@ class Problem:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InputError(f"unknown problem kind {self.kind!r}")
-        self.A = _as_operator(self.A)
-        if self.C is not None:
-            self.C = _as_operator(self.C)
-        self.f = np.asarray(self.f, dtype=float)
-        if not np.all(np.isfinite(self.f)):
+        a = _as_operator(self.A)
+        c = None if self.C is None else _as_operator(self.C)
+        f = np.asarray(self.f, dtype=float)
+        u0 = np.zeros(a.rows) if self.u0 is None and self.kind == NEUMANN else self.u0
+        u0 = None if u0 is None else np.asarray(u0, dtype=float)
+        for name, value in (("A", a), ("C", c), ("f", f), ("u0", u0)):
+            object.__setattr__(self, name, value)
+        inclusion, relation = self.inclusion, self.relation
+        if not np.all(np.isfinite(f)):
             raise InputError("right-hand side must be finite")
-        if self.u0 is not None:
-            self.u0 = np.asarray(self.u0, dtype=float)
         if not (self.tol > 0.0):
             raise InputError("tol must be positive")
-        if self.f.shape != (self.A.cols,):
-            raise InputError(
-                f"f has shape {self.f.shape}, expected ({self.A.cols},)"
-            )
+        if f.shape != (a.cols,):
+            raise InputError(f"f has shape {f.shape}, expected ({a.cols},)")
         if self.kind == DIRICHLET:
-            if self.C is None or self.inclusion is None:
+            if c is None or inclusion is None:
                 raise InputError("boundary-data problems need C and the inclusion")
-            if self.inclusion.ambient_dim != self.C.cols:
+            if inclusion.ambient_dim != c.cols:
                 raise InputError("inclusion must live in the domain of C")
-            if self.inclusion.dim != self.A.cols:
+            if inclusion.dim != a.cols:
                 raise InputError("inclusion dimension must match the domain of A")
-            if self.relation.dim != self.C.rows:
+            if relation.dim != c.rows:
                 raise InputError("relation must live on the codomain of C")
-            self.effective = _checked_restriction(self.A, self.C,
-                                                  self.inclusion.basis, "A", "C")
+            if u0 is None:
+                raise InputError("boundary-data problems need u0")
+            if u0.shape != (c.cols,):
+                raise InputError("u0 must live in the domain of C")
         if self.kind == NEUMANN:
-            if self.inclusion is None:
+            if inclusion is None:
                 raise InputError("flux-data problems need the inclusion subspace")
-            if self.inclusion.ambient_dim != self.A.cols:
+            if inclusion.ambient_dim != a.cols:
                 raise InputError("inclusion must live in the domain of A")
-            if self.relation.dim != self.A.rows:
+            if relation.dim != a.rows:
                 raise InputError("relation must live on the codomain of A")
-            if self.u0 is not None and self.u0.shape != (self.A.rows,):
+            if u0.shape != (a.rows,):
                 raise InputError("u0 must live in the codomain of A")
-            if self.C is not None:
-                if self.C.cols != self.inclusion.dim:
-                    raise InputError("inclusion dimension must match the domain of C")
-                _checked_restriction(self.C, self.A, self.inclusion.basis, "C", "A")
+            if c is not None and c.cols != inclusion.dim:
+                raise InputError("inclusion dimension must match the domain of C")
+        if self.kind != HOMOGENEOUS and not np.all(np.isfinite(u0)):
+            raise InputError("u0 must be finite")
+        if self.kind == DIRICHLET:
+            object.__setattr__(self, "effective",
+                               _checked_restriction(a, c, inclusion, "A", "C"))
+        elif c is not None and self.kind == NEUMANN:
+            _checked_restriction(c, a, inclusion, "C", "A")
 
 
-def _checked_restriction(small: LinearMap, big: LinearMap, embed: np.ndarray,
+def _checked_restriction(small: LinearMap, big: LinearMap, inclusion: Subspace,
                          small_name: str, big_name: str) -> LinearMap:
-    """``big`` composed with the embedding, checked to agree with ``small``.
+    """``big`` composed with the inclusion basis, checked to agree with ``small``.
 
     The zero-boundary builder enumerates only the codomain rows its own
     stencil touches, so ``small`` and ``big E`` can differ by a row
     permutation plus zero rows.  Norms agree on every vector exactly when
     the Gram matrices agree, which is what is compared (Frobenius norm).
+    The checked map is memoized on ``big`` (immutable, like ``small`` and
+    ``inclusion``), so a problem rebuilt over the same three objects gets
+    the same map and its factored restriction.
     """
-    eff = LinearMap(big.matrix @ embed)
-    gram = small.matrix.T @ small.matrix
-    gap = float(np.linalg.norm(gram - eff.matrix.T @ eff.matrix))
-    if gap > 1e-9 * max(1.0, float(np.linalg.norm(gram))):
-        raise InputError(
-            f"{small_name} is not the restriction of {big_name} to the inclusion "
-            f"subspace (Gram matrices differ by {gap:.6e})"
-        )
+    key = (small, inclusion)
+    eff = big._restrictions.get(key)
+    if eff is None:
+        eff = LinearMap(big.matrix @ inclusion.basis)
+        gram = small.matrix.T @ small.matrix
+        gap = float(np.linalg.norm(gram - eff.matrix.T @ eff.matrix))
+        if gap > 1e-9 * max(1.0, float(np.linalg.norm(gram))):
+            raise InputError(
+                f"{small_name} is not the restriction of {big_name} to the "
+                f"inclusion subspace (Gram matrices differ by {gap:.6e})"
+            )
+        if small is not big:  # a key holding ``big`` itself would be a cycle
+            big._restrictions[key] = eff
     return eff
 
 
@@ -160,16 +177,6 @@ class EstimateReport:
     rhs: float
     constants: dict
     passed: bool
-
-
-def _check_rhs(restricted: RestrictedOperator, f, tol):
-    resid = restricted.ran_adj.membership_residual(f)
-    if resid > tol * max(1.0, float(np.linalg.norm(f))):
-        raise DomainError(
-            f"right-hand side has a kernel component ({resid:.3e}); "
-            "it does not define an admissible functional",
-            code="rhs_not_in_H_minus_1",
-        )
 
 
 def _invert_on_range(restricted, relation, w, tol, lam, max_iter, dr_start):
@@ -204,7 +211,10 @@ def _invert_on_range(restricted, relation, w, tol, lam, max_iter, dr_start):
 
 def _homogeneous_core(a_map, relation, f, tol, lam, max_iter, dr_start=None):
     restricted = restrict_operator(a_map)
-    _check_rhs(restricted, f, tol)
+    restricted.ran_adj.require(
+        f, tol, "right-hand side has a kernel component; it does not define an "
+        "admissible functional", code="rhs_not_in_H_minus_1",
+    )
     w = b_star_inverse(restricted, f)
     g, v, point, iters = _invert_on_range(
         restricted, relation, w, tol, lam, max_iter, dr_start
@@ -262,11 +272,7 @@ def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
     """
     if problem.kind != DIRICHLET:
         raise InputError(f"expected a boundary-data problem, got {problem.kind!r}")
-    if problem.u0 is None:
-        raise InputError("boundary-data problems need u0")
-    u0 = np.asarray(problem.u0, dtype=float)
-    if u0.shape != (problem.C.cols,):
-        raise InputError("u0 must live in the domain of C")
+    u0 = problem.u0
     eff = problem.effective
     cu0 = problem.C.matrix @ u0
     shifted = problem.relation.shift(cu0, np.zeros_like(cu0))
@@ -325,8 +331,7 @@ def solve_neumann(problem: Problem, dr_start=None) -> Solution:
     if problem.kind != NEUMANN:
         raise InputError(f"expected a flux-data problem, got {problem.kind!r}")
     amat = problem.A.matrix
-    u0 = (np.zeros(problem.A.rows) if problem.u0 is None
-          else np.asarray(problem.u0, dtype=float))
+    u0 = problem.u0
     restricted = restrict_operator(problem.A)
     wb, aw = _test_space(restricted, problem.inclusion)
     q1 = restricted.ran_adj.basis
@@ -452,11 +457,10 @@ def verify_neumann_estimate(p1: Problem, p2: Problem,
     amat = p1.A.matrix
     restricted = restrict_operator(p1.A)
     wb, aw = _test_space(restricted, p1.inclusion)
-    u0_1 = np.zeros(p1.A.rows) if p1.u0 is None else p1.u0
-    u0_2 = np.zeros(p2.A.rows) if p2.u0 is None else p2.u0
-    delta = wb.T @ (p1.f - p2.f) - aw.T @ (u0_1 - u0_2)
+    du0 = p1.u0 - p2.u0
+    delta = wb.T @ (p1.f - p2.f) - aw.T @ du0
     dual = float(np.sqrt(max(float(delta @ np.linalg.solve(aw.T @ aw, delta)), 0.0)))
-    data_gap = float(np.linalg.norm(restricted.ran.project(u0_1 - u0_2)))
+    data_gap = float(np.linalg.norm(restricted.ran.project(du0)))
     rhs = (dual + data_gap) / c
     lhs = float(np.linalg.norm(amat @ (s1.u - s2.u)))
     return EstimateReport(

@@ -1,8 +1,10 @@
 """Config parsing, report emission, determinism, and exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from elliptic_inclusions.cli import emit_report, main, run_config
 
@@ -321,3 +323,31 @@ def test_missing_relation_file_is_config_error(tmp_path):
     report = run_config(write_config(tmp_path, cfg))
     assert report.exit_code == 2
     assert report.data["error"]["code"] == "config_error"
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_bad_tol_override_is_a_config_error(tmp_path, tol):
+    out = tmp_path / "report.json"
+    code = main(["solve", "--config", str(CONFIGS / "sign_diagonal.json"),
+                 "--tol", tol, "--report", str(out)])
+    assert code == 2
+    error = json.loads(out.read_bytes())["error"]
+    assert error["code"] == "config_error"
+    assert error["field"] == "tol"
+
+
+@pytest.mark.parametrize("u0", [None, [0, 1, 2], [0, 1, float("nan"), 3, 4]])
+def test_bad_dirichlet_boundary_data_is_a_config_error(tmp_path, u0):
+    cfg = json.loads((CONFIGS / "dirichlet_ramp.json").read_text())
+    if u0 is None:
+        del cfg["u0"]
+    else:
+        cfg["u0"] = u0
+    out = tmp_path / "report.json"
+    code = main(["solve", "--config", str(write_config(tmp_path, cfg)),
+                 "--report", str(out)])
+    assert code == 2
+    assert json.loads(out.read_bytes())["error"]["code"] == "config_error"

@@ -129,6 +129,17 @@ def test_power_resolvent_huge_inputs(p, z):
         assert abs(residual) <= 1e-12 * abs(z)
 
 
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.5, 3.0, 4.0, 7.0])
+@pytest.mark.parametrize("mu", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_power_resolvent_relative_residual_from_tiny_to_large(p, mu):
+    # both stops are relative, so a root near 1e-14 is not left at its start
+    t = np.logspace(-30, 8, 153)
+    z = np.concatenate([t, -t])
+    s = graph_base_resolvent(Power(p), mu, z)
+    residual = s + mu * np.abs(s) ** (p - 2.0) * s - z
+    assert np.max(np.abs(residual) / np.abs(z)) <= 1e-12
+
+
 def test_power_rejects_bad_exponent():
     with pytest.raises(ConstructionError):
         Power(1.0)

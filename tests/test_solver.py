@@ -1,5 +1,8 @@
 """Solution pipelines, certificates, estimate verifiers, and the probe."""
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -213,10 +216,9 @@ def test_dirichlet_certificates_random():
 def test_dirichlet_requires_u0():
     small, big, inclusion = grad1d_pair(5)
     rel = make_linear(np.eye(4))
-    problem = Problem("dirichlet", small.matrix, rel, np.zeros(3),
-                      C=big.matrix, inclusion=inclusion)
     with pytest.raises(InputError):
-        solve_dirichlet(problem)
+        Problem("dirichlet", small.matrix, rel, np.zeros(3),
+                C=big.matrix, inclusion=inclusion)
 
 
 def test_dirichlet_rejects_inconsistent_operator_pair():
@@ -254,6 +256,58 @@ def test_consistent_pairs_keep_the_effective_map():
     neumann = Problem("neumann", big.matrix, rel, np.zeros(7),
                       C=small.matrix, inclusion=inclusion)
     assert neumann.effective is None
+
+
+def test_problem_fields_cannot_be_assigned():
+    small, big, inclusion = grad1d_pair(5)
+    problem = Problem("dirichlet", small.matrix, make_linear(np.eye(4)),
+                      np.zeros(3), C=big.matrix, inclusion=inclusion,
+                      u0=np.zeros(5))
+    for field in dataclasses.fields(Problem):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, field.name, getattr(problem, field.name))
+
+
+def test_replaced_problem_shares_the_checked_map_without_cycles():
+    small, big, inclusion = grad1d_pair(7)
+    rel = make_linear(np.eye(6))
+    problem = Problem("dirichlet", small.matrix, rel, np.zeros(5),
+                      C=big.matrix, inclusion=inclusion, u0=np.zeros(7))
+    other = dataclasses.replace(problem, f=np.ones(5), u0=np.ones(7))
+    assert other.effective is problem.effective
+    assert other.u0.tolist() == [1.0] * 7
+    with pytest.raises(InputError, match="tol"):
+        dataclasses.replace(problem, tol=float("nan"))
+    rng = np.random.default_rng(3)
+    rel = make_linear(np.eye(5))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(4):
+            small, big, inclusion = grad1d_pair(6)
+            problem = Problem("dirichlet", small.matrix, rel, rng.standard_normal(4),
+                              C=big.matrix, inclusion=inclusion, u0=np.zeros(6))
+            other = dataclasses.replace(problem, f=np.zeros(4))
+            solve_dirichlet(other)
+            del small, big, inclusion, problem, other
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_neumann_flux_data_defaults_to_zero():
+    problem = neumann_problem(5, make_linear(np.eye(4)),
+                              np.array([1.0, -0.5, 0.25, -0.5, -0.25]))
+    assert problem.u0.tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("u0,match", [(np.zeros(4), "domain of C"),
+                                      (np.array([0, 1, np.nan, 3, 4]), "finite")])
+def test_dirichlet_boundary_data_is_checked_at_construction(u0, match):
+    small, big, inclusion = grad1d_pair(5)
+    with pytest.raises(InputError, match=match):
+        Problem("dirichlet", small.matrix, make_linear(np.eye(4)), np.zeros(3),
+                C=big.matrix, inclusion=inclusion, u0=u0)
 
 
 def test_neumann_rejects_c_with_the_wrong_domain():
