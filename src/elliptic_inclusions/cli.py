@@ -492,7 +492,8 @@ def run_config(path, overrides=None, checks_override=None) -> RunReport:
         check_results = _run_checks(problem, solution, checks, seed)
     except DomainError as exc:
         return _error_report(exc, code=exc.code or "domain_error")
-    except (ConvergenceError, CapabilityError, OracleFailure, InputError) as exc:
+    except (ConvergenceError, CapabilityError, OracleFailure, InputError,
+            ConstructionError) as exc:
         return _error_report(exc)
     except Exception as exc:  # batch front door: never crash bare
         return _error_report(exc, code="internal_error")

@@ -115,7 +115,7 @@ class Problem:
                 raise InputError("u0 must live in the codomain of A")
             if c is not None and c.cols != inclusion.dim:
                 raise InputError("inclusion dimension must match the domain of C")
-        if self.kind != HOMOGENEOUS and not np.all(np.isfinite(u0)):
+        if u0 is not None and not np.all(np.isfinite(u0)):
             raise InputError("u0 must be finite")
         if self.kind == DIRICHLET:
             object.__setattr__(self, "effective",
@@ -384,14 +384,18 @@ def solve(problem: Problem, dr_start=None) -> Solution:
     return solve_neumann(problem, dr_start)
 
 
+def _same_map(m1: LinearMap | None, m2: LinearMap | None) -> bool:
+    """Equal entries; the same object (as in a ``replace`` variant) short-cuts."""
+    return m1 is m2 or (m1 is not None and m2 is not None
+                        and np.array_equal(m1.matrix, m2.matrix))
+
+
 def _require_same_setting(p1: Problem, p2: Problem, kind):
     if p1.kind != kind or p2.kind != kind:
         raise InputError(f"both problems must be of kind {kind!r}")
-    if p1.A.shape != p2.A.shape or not np.array_equal(p1.A.matrix, p2.A.matrix):
+    if not _same_map(p1.A, p2.A):
         raise InputError("the two problems must share the operator A")
-    if (p1.C is None) != (p2.C is None):
-        raise InputError("the two problems must share the operator C")
-    if p1.C is not None and not np.array_equal(p1.C.matrix, p2.C.matrix):
+    if not _same_map(p1.C, p2.C):
         raise InputError("the two problems must share the operator C")
     if p1.relation is not p2.relation:
         raise InputError("the two problems must share the relation object")

@@ -351,3 +351,31 @@ def test_bad_dirichlet_boundary_data_is_a_config_error(tmp_path, u0):
                  "--report", str(out)])
     assert code == 2
     assert json.loads(out.read_bytes())["error"]["code"] == "config_error"
+
+
+def test_homogeneous_u0_is_checked(tmp_path):
+    cfg = json.loads((CONFIGS / "poisson_1d.json").read_text())
+    cfg["u0"] = [float("nan")]
+    out = tmp_path / "report.json"
+    code = main(["solve", "--config", str(write_config(tmp_path, cfg)),
+                 "--report", str(out)])
+    assert code == 2
+    error = json.loads(out.read_bytes())["error"]
+    assert error["code"] == "config_error"
+    assert "finite" in error["message"]
+
+
+def test_failed_monotonicity_probe_is_a_construction_error(tmp_path, monkeypatch):
+    from elliptic_inclusions import ConstructionError, cli
+
+    def broken_probe(relation, trials, rng_seed):
+        raise ConstructionError("relation inverse is not finite on a sampled point")
+
+    monkeypatch.setattr(cli, "monotonicity_probe", broken_probe)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--config", str(CONFIGS / "poisson_1d.json"),
+                 "--report", str(out)])
+    assert code == 1
+    report = json.loads(out.read_bytes())
+    assert report["error"]["code"] == "construction_error"
+    assert report["pass"] is False

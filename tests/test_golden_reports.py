@@ -4,6 +4,7 @@ Each of the four ``configs/`` runs under ``solve``, ``verify`` and
 ``oracle-check``; the report (``timing`` removed) and the exit status must
 match ``tests/data/golden/<config>.<command>.json``.  Keys, strings, ints
 and booleans compare exactly; floats to 1e-9 relative or 1e-13 absolute.
+Every fresh report must also be strict JSON: no ``NaN`` or ``Infinity``.
 
 Regenerate the golden files, only when a report change is intended, with
 ``PYTHONPATH=src python tests/test_golden_reports.py --write``.
@@ -24,11 +25,15 @@ COMMANDS = ("solve", "verify", "oracle-check")
 CASES = [(c, cmd) for c in CONFIGS for cmd in COMMANDS]
 
 
+def _reject_constant(name):
+    raise ValueError(f"report is not strict JSON: it holds {name}")
+
+
 def _run(config, command, out):
     # relative config path, so error reports name it the same way everywhere
     code = main([command, "--config", f"configs/{config}.json",
                  "--report", str(out)])
-    report = json.loads(Path(out).read_bytes())
+    report = json.loads(Path(out).read_bytes(), parse_constant=_reject_constant)
     del report["timing"]
     return {"exit_code": code, "report": report}
 

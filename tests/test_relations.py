@@ -1,5 +1,6 @@
 """Resolvent calculus: construction, inversion, shifting, projected inversion."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from elliptic_inclusions import (
     ConstructionError,
     ConvergenceError,
     DomainError,
+    InputError,
     Linear,
     Power,
     Relation,
@@ -390,6 +392,146 @@ def test_monotonicity_probe_linear_pd_reaches_smallest_eigenvalue():
     assert report.passed
     assert report.min_quotient >= lam_min - 1e-9
     assert report.min_quotient <= lam_min * 1.2
+
+
+def _column_by_column(relation, ys):
+    return np.column_stack([relation.inverse(ys[:, j]) for j in range(ys.shape[1])])
+
+
+def _piecewise_relations(dim):
+    graphs = [Linear(2.0), Sign(), Clamp(-0.5, 1.5), Relay(0.7)]
+    mixed = make_diagonal(0.8, [graphs[i % 4] for i in range(dim)])
+    return [make_diagonal(0.8, [g] * dim) for g in graphs] + [mixed]
+
+
+@pytest.mark.parametrize("k", [1, 5, 6])
+def test_block_inverse_is_bitwise_column_by_column_for_piecewise_graphs(k):
+    rng = np.random.default_rng(40)
+    dim = 6
+    ys = 3.0 * rng.standard_normal((dim, k))
+    for rel in _piecewise_relations(dim):
+        assert np.array_equal(rel.inverse(ys), _column_by_column(rel, ys))
+        # a shift acts on every column the same way, also when k == dim
+        p, q = rng.standard_normal(dim), rng.standard_normal(dim)
+        shifted = rel.shift(p, q)
+        assert np.array_equal(shifted.inverse(ys), _column_by_column(shifted, ys))
+
+
+@pytest.mark.parametrize("k", [1, 7, 9])
+def test_block_inverse_matches_columns_for_power_and_linear(k):
+    rng = np.random.default_rng(41)
+    dim = 9
+    ys = 3.0 * rng.standard_normal((dim, k))
+    relations = [
+        make_diagonal(0.7, [Power(3.0)] * dim),
+        make_diagonal(1.2, [Power(1.5), Power(4.0), Sign()] * 3),
+        make_linear(random_pd_matrix(rng, dim)),
+    ]
+    for rel in relations:
+        for r in (rel, rel.shift(rng.standard_normal(dim), rng.standard_normal(dim))):
+            block, columns = r.inverse(ys), _column_by_column(r, ys)
+            assert block.shape == (dim, k)
+            assert np.max(np.abs(block - columns)) <= 1e-14 * np.max(np.abs(columns))
+
+
+def test_shifted_block_moves_each_column_by_p():
+    # k == dim: a p added along the wrong axis would still broadcast
+    rel = make_linear(np.eye(3)).shift(np.array([1.0, 2.0, 3.0]), np.zeros(3))
+    ys = np.zeros((3, 3))
+    assert np.array_equal(rel.inverse(ys), np.tile([[-1.0], [-2.0], [-3.0]], (1, 3)))
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 2), (3, 2, 1), ()])
+def test_inverse_rejects_other_shapes(shape):
+    rel = make_diagonal(1.0, [Sign()] * 3)
+    with pytest.raises(InputError, match=r"expected \(3,\) or \(3, k\)"):
+        rel.inverse(np.zeros(shape))
+
+
+def _per_sample_probe(relation, trials, rng_seed):
+    """The probe as one inverse call per sampled vector: the reference."""
+    rng = np.random.default_rng(rng_seed)
+    min_quotient = np.inf
+    violations = 0
+    for _ in range(trials):
+        y1 = 3.0 * rng.standard_normal(relation.dim)
+        y2 = 3.0 * rng.standard_normal(relation.dim)
+        x1 = relation.inverse(y1)
+        x2 = relation.inverse(y2)
+        dx = x1 - x2
+        nsq = float(dx @ dx)
+        if nsq < 1e-24:
+            continue
+        inner = float(dx @ (y1 - y2))
+        min_quotient = min(min_quotient, inner / nsq)
+        if inner < relation.c * nsq - 1e-9:
+            violations += 1
+    return violations == 0, min_quotient, violations, trials
+
+
+def _overclaimed_linear():
+    # slopes -0.5 make some sampled pairs fall short of c = 1
+    slopes = np.array([-0.5, 1.0, 2.0])
+
+    def base(mu, z):
+        z = np.asarray(z)
+        return z / (1.0 + mu * slopes.reshape((-1,) + (1,) * (z.ndim - 1)))
+
+    return Relation(3, 1.0, base, validate=False)
+
+
+def _probe_relations():
+    rng = np.random.default_rng(42)
+    mixed = make_diagonal(0.6, [Sign(), Power(1.5), Clamp(-1.0, 1.0), Relay(0.5)] * 6)
+    return {
+        "power84": make_diagonal(1.0, [Power(3.0)] * 84),
+        "mixed24": mixed,
+        "shifted24": mixed.shift(rng.standard_normal(24), rng.standard_normal(24)),
+        "linear30": make_linear(random_pd_matrix(rng, 30)),
+        "sign_zero_pairs": make_diagonal(1.0, [Sign()]),
+        "overclaimed": _overclaimed_linear(),
+    }
+
+
+PROBE_RELATIONS = _probe_relations()
+
+
+@pytest.mark.parametrize("trials", [1, 7, 200, 2000])
+@pytest.mark.parametrize("name", sorted(PROBE_RELATIONS))
+def test_monotonicity_probe_matches_per_sample_loop(name, trials):
+    rel = PROBE_RELATIONS[name]
+    passed, min_quotient, violations, count = _per_sample_probe(rel, trials, 3)
+    report = monotonicity_probe(rel, trials=trials, rng_seed=3)
+    assert (report.passed, report.violations, report.trials) == \
+        (passed, violations, count)
+    if np.isinf(min_quotient):
+        assert report.min_quotient == min_quotient
+    else:
+        assert report.min_quotient == pytest.approx(min_quotient, rel=1e-12, abs=0.0)
+
+
+def test_monotonicity_probe_counts_violations():
+    report = monotonicity_probe(PROBE_RELATIONS["overclaimed"], trials=200)
+    assert not report.passed
+    assert 0 < report.violations < 200
+
+
+def test_monotonicity_probe_rejects_non_finite_inverse():
+    rel = Relation(3, 1.0, lambda mu, z: np.full(np.shape(z), np.nan), validate=False)
+    with pytest.raises(ConstructionError, match="not finite"):
+        monotonicity_probe(rel)
+
+
+def test_monotonicity_probe_memory_stays_bounded():
+    rel = make_diagonal(1.0, [Power(3.0)] * 84)
+    monotonicity_probe(rel, 200)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        monotonicity_probe(rel, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_concurrent_resolvent_evaluation_is_consistent():

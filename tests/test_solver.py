@@ -310,6 +310,14 @@ def test_dirichlet_boundary_data_is_checked_at_construction(u0, match):
                 C=big.matrix, inclusion=inclusion, u0=u0)
 
 
+def test_homogeneous_u0_must_be_finite_when_given():
+    rel = make_linear(np.eye(4))
+    Problem("homogeneous", LinearMap(DIRICHLET_GRAD_3), rel, np.ones(3), u0=np.ones(1))
+    with pytest.raises(InputError, match="finite"):
+        Problem("homogeneous", LinearMap(DIRICHLET_GRAD_3), rel, np.ones(3),
+                u0=np.array([np.nan]))
+
+
 def test_neumann_rejects_c_with_the_wrong_domain():
     small, big, inclusion = grad1d_pair(5)
     with pytest.raises(InputError, match="domain of C"):
@@ -506,6 +514,27 @@ def test_neumann_estimate_data_difference_nonlinear():
     p1, p2, s1, s2 = _neumann_pair_with(rel, f, f.copy(), u0_1, u0_2)
     report = verify_neumann_estimate(p1, p2, s1, s2)
     assert report.passed
+
+
+def test_estimates_compare_distinct_operators_by_entries():
+    rng = np.random.default_rng(13)
+    rel = make_linear(random_pd_matrix(rng, 5))
+    f1, f2 = rng.standard_normal(4), rng.standard_normal(4)
+    p1, p2, s1, s2 = _dirichlet_pair_with(rel, f1, f2, rng.standard_normal(6),
+                                          rng.standard_normal(6))
+    assert p1.A is p2.A and p1.C is p2.C
+    copy = dataclasses.replace(p2, A=LinearMap(p2.A.matrix.copy()),
+                               C=LinearMap(p2.C.matrix.copy()))
+    assert copy.A is not p1.A and copy.C is not p1.C
+    shared = verify_dirichlet_estimate(p1, p2, s1, s2)
+    distinct = verify_dirichlet_estimate(p1, copy, s1, solve_dirichlet(copy))
+    assert (distinct.passed, distinct.lhs, distinct.rhs, distinct.constants) \
+        == (shared.passed, shared.lhs, shared.rhs, shared.constants)
+    changed = p2.C.matrix.copy()
+    changed[0, 0] += 1e-3
+    other = dataclasses.replace(p2, C=LinearMap(changed))
+    with pytest.raises(InputError, match="share the operator C"):
+        verify_dirichlet_estimate(p1, other, s1, s2)
 
 
 def test_lipschitz_probe_scaled_identity_is_exact():
