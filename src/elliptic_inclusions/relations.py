@@ -190,12 +190,15 @@ class Relation:
 
     ``base_resolvent(mu, z)`` must evaluate the resolvent of the monotone
     base part b at step mu > 0, defined for every z (a quick nonexpansiveness
-    probe runs at construction unless ``validate=False``).
+    probe runs at construction unless ``validate=False``).  It is called with
+    (dim,) vectors only, unless ``columnwise=True`` declares that it also maps
+    a (dim, k) block column by column; then a block is passed in one call.
     """
 
-    __slots__ = ("dim", "c", "base_resolvent", "descriptor")
+    __slots__ = ("dim", "c", "base_resolvent", "descriptor", "columnwise")
 
-    def __init__(self, dim, c, base_resolvent, descriptor=None, validate=True):
+    def __init__(self, dim, c, base_resolvent, descriptor=None, validate=True,
+                 columnwise=False):
         if dim < 1:
             raise ConstructionError("relation dimension must be positive")
         if not (c > 0.0):
@@ -204,6 +207,7 @@ class Relation:
         self.c = float(c)
         self.base_resolvent = base_resolvent
         self.descriptor = descriptor
+        self.columnwise = bool(columnwise)
         if validate:
             self._probe_nonexpansive()
 
@@ -243,10 +247,16 @@ class Relation:
     def inverse(self, y) -> np.ndarray:
         """The unique x with y in a(x); Lipschitz with constant 1/c.
 
-        A (dim, k) block is inverted column by column in one call.
+        A (dim, k) block is inverted column by column: in one call of a
+        ``columnwise`` base resolvent, one call per column otherwise.
         """
         y = self._check_dim(y, "y", block=True)
-        return np.asarray(self.base_resolvent(1.0 / self.c, y / self.c), dtype=float)
+        if y.ndim == 1 or self.columnwise:
+            return np.asarray(self.base_resolvent(1.0 / self.c, y / self.c), dtype=float)
+        out = np.empty_like(y)
+        for j in range(y.shape[1]):
+            out[:, j] = self.inverse(y[:, j])
+        return out
 
     def graph_residual(self, x, y) -> float:
         """|x - J_{1/c}(a)(x + y/c)|; zero exactly on membership pairs."""
@@ -270,7 +280,8 @@ class Relation:
             pc = p.reshape(col)
             return np.asarray(base(mu, z + pc + mu * offset.reshape(col))) - pc
 
-        return Relation(self.dim, c, shifted_base, validate=False)
+        return Relation(self.dim, c, shifted_base, validate=False,
+                        columnwise=self.columnwise)
 
     def __repr__(self):
         return f"Relation(dim={self.dim}, c={self.c})"
@@ -305,7 +316,9 @@ def make_linear(m, tol=1e-10) -> Relation:
             cache[key] = lu
         return scipy.linalg.lu_solve(lu, np.asarray(z, dtype=float))
 
-    return Relation(dim, c, base, descriptor=LinearDescriptor(lm), validate=False)
+    return Relation(
+        dim, c, base, descriptor=LinearDescriptor(lm), validate=False, columnwise=True
+    )
 
 
 def make_diagonal(c, graphs) -> Relation:
@@ -326,8 +339,6 @@ def make_diagonal(c, graphs) -> Relation:
 
     def base(mu, z):
         z = np.asarray(z, dtype=float)
-        if len(grouped) == 1:  # one graph everywhere: no gather and scatter copies
-            return graph_base_resolvent(graphs[0], mu, z)
         out = np.empty_like(z)
         for g, idx in grouped:
             out[idx] = graph_base_resolvent(g, mu, z[idx])
@@ -335,7 +346,7 @@ def make_diagonal(c, graphs) -> Relation:
 
     return Relation(
         len(graphs), float(c), base,
-        descriptor=DiagonalDescriptor(graphs), validate=False,
+        descriptor=DiagonalDescriptor(graphs), validate=False, columnwise=True,
     )
 
 

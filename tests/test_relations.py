@@ -477,7 +477,27 @@ def _overclaimed_linear():
         z = np.asarray(z)
         return z / (1.0 + mu * slopes.reshape((-1,) + (1,) * (z.ndim - 1)))
 
-    return Relation(3, 1.0, base, validate=False)
+    return Relation(3, 1.0, base, validate=False, columnwise=True)
+
+
+def _radial_relation():
+    # b(x) = |x| x on the plane; the resolvent scales z by a root found on |z|,
+    # so it is written for one vector and would mix the columns of a block
+    def base(mu, z):
+        z = np.asarray(z, dtype=float)
+        r = np.linalg.norm(z)
+        if r == 0.0:
+            return z
+        lo, hi = 0.0, r
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid + mu * mid * mid > r:
+                hi = mid
+            else:
+                lo = mid
+        return z * (0.5 * (lo + hi) / r)
+
+    return Relation(2, 1.0, base)
 
 
 def _probe_relations():
@@ -490,6 +510,7 @@ def _probe_relations():
         "linear30": make_linear(random_pd_matrix(rng, 30)),
         "sign_zero_pairs": make_diagonal(1.0, [Sign()]),
         "overclaimed": _overclaimed_linear(),
+        "radial": _radial_relation(),
     }
 
 
@@ -508,6 +529,25 @@ def test_monotonicity_probe_matches_per_sample_loop(name, trials):
         assert report.min_quotient == min_quotient
     else:
         assert report.min_quotient == pytest.approx(min_quotient, rel=1e-12, abs=0.0)
+
+
+def test_block_inverse_passes_vectors_to_a_base_that_is_not_columnwise():
+    radial = _radial_relation()
+    calls = []
+
+    def spy(mu, z):
+        calls.append(np.shape(z))
+        return radial.base_resolvent(mu, z)
+
+    ys = 3.0 * np.random.default_rng(43).standard_normal((2, 5))
+    for rel in (Relation(2, 1.0, spy), Relation(2, 1.0, spy).shift(np.ones(2), np.ones(2))):
+        calls.clear()
+        block = rel.inverse(ys)
+        assert calls == [(2,)] * 5
+        assert np.array_equal(block, _column_by_column(rel, ys))
+    assert not radial.columnwise
+    assert not radial.shift(np.ones(2), np.ones(2)).columnwise
+    assert make_diagonal(1.0, [Sign()] * 2).shift(np.ones(2), np.ones(2)).columnwise
 
 
 def test_monotonicity_probe_counts_violations():
