@@ -29,7 +29,7 @@ from .errors import (
     InputError,
     OracleFailure,
 )
-from .hilbert_core import load_matrix_market, restrict_operator
+from .hilbert_core import read_matrix_market, restrict_operator
 from .operators import (
     CUSTOM,
     FREE,
@@ -112,13 +112,16 @@ def _load_vector(value, fieldpath, base_dir):
         except (TypeError, ValueError):
             _fail("vector entries must be numbers", fieldpath)
     if isinstance(value, dict) and "path" in value:
+        if not isinstance(value["path"], str):
+            _fail(f"'path' must be a string, got {type(value['path']).__name__}",
+                  fieldpath)
         path = Path(base_dir) / value["path"]
         if not path.exists():
             _fail(f"referenced file {path} does not exist", fieldpath)
         try:
             data = np.loadtxt(path, dtype=float, ndmin=1)
-        except ValueError as exc:
-            _fail(f"cannot parse vector file {path}: {exc}", fieldpath)
+        except (OSError, ValueError) as exc:  # OSError: a directory, no read access
+            _fail(f"cannot read vector file {path}: {exc}", fieldpath)
         return data
     _fail("expected an inline array or {'path': ...}", fieldpath)
 
@@ -148,15 +151,16 @@ def _parse_relation(cfg, dim, fieldpath, base_dir):
     if rtype == "linear":
         matrix = cfg.get("matrix")
         if matrix is None and "path" in cfg:
+            mtx = _get(cfg, "path", str, f"{fieldpath}.")
             try:
-                matrix = load_matrix_market(Path(base_dir) / cfg["path"]).matrix
+                matrix = read_matrix_market(Path(base_dir) / mtx)
             except (FileNotFoundError, InputError) as exc:
                 _fail(str(exc), f"{fieldpath}.path")
         if matrix is None:
             _fail("linear relations need 'matrix' or 'path'", f"{fieldpath}.matrix")
         try:
-            return make_linear(np.asarray(matrix, dtype=float))
-        except (ConstructionError, InputError, ValueError) as exc:
+            return make_linear(matrix)
+        except (ConstructionError, InputError, TypeError, ValueError) as exc:
             _fail(str(exc), f"{fieldpath}.matrix")
     if rtype == "diagonal":
         c = _get(cfg, "c", (int, float), f"{fieldpath}.", required=True)

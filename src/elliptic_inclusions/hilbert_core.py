@@ -367,8 +367,9 @@ def embedding_constant(ctx: RestrictedOperator, cmap) -> float:
     return float(np.sqrt(max(float(vals[-1]), 0.0)))
 
 
-def load_matrix_market(path) -> LinearMap:
-    """Read a real general matrix in Matrix Market coordinate format."""
+def read_matrix_market(path):
+    """Read a real, finite Matrix Market matrix as scipy returns it (sparse
+    for coordinate files), without densifying it."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such Matrix Market file: {path}")
     try:
@@ -377,7 +378,14 @@ def load_matrix_market(path) -> LinearMap:
         raise InputError(f"cannot parse Matrix Market file {path}: {exc}") from exc
     if np.iscomplexobj(m):
         raise InputError(f"{path}: complex matrices are not supported")
-    return LinearMap(m)
+    if not np.all(np.isfinite(m.data if scipy.sparse.issparse(m) else m)):
+        raise InputError("matrix entries must be finite")
+    return m
+
+
+def load_matrix_market(path) -> LinearMap:
+    """Read a real general matrix in Matrix Market format as a LinearMap."""
+    return LinearMap(read_matrix_market(path))
 
 
 def save_basis_columns(subspace: Subspace, path) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
 from .errors import ConstructionError, ConvergenceError, InputError
 from .hilbert_core import Subspace, as_linear_map
@@ -290,31 +290,56 @@ class Relation:
 def make_linear(m, tol=1e-10) -> Relation:
     """Relation x -> M x for square M whose symmetric part is positive definite.
 
-    The monotonicity constant is the smallest eigenvalue of (M + M^T)/2;
-    the base resolvent factors I + mu*(M - c I) on demand and caches the
-    factorization per step size.
+    M may be dense, scipy sparse or a LinearMap; it is held as a CSC matrix
+    (the descriptor keeps a dense LinearMap for the oracle and the estimate
+    checks).  The monotonicity constant is the smallest eigenvalue of
+    (M + M^T)/2, found by shift-invert Lanczos from a shift below the
+    Gershgorin bound, so the eigenvalue nearest the shift is the smallest one
+    even for an indefinite symmetric part.  The base resolvent is a sparse LU
+    of I + mu*(M - c I), built on demand and cached per step size.
     """
+    # imported here, not at module level: runs without a linear relation
+    # would pay its import time for nothing
+    import scipy.sparse.linalg
+
     lm = as_linear_map(m)
     if lm.rows != lm.cols:
         raise ConstructionError("linear relation needs a square matrix")
-    mat = lm.matrix
+    dim = lm.rows
+    mat = scipy.sparse.csc_array(lm.matrix)
     sym = 0.5 * (mat + mat.T)
-    c = float(scipy.linalg.eigh(sym, eigvals_only=True)[0])
+    diag = sym.diagonal()
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked next
+        radii = abs(sym).sum(axis=1) - np.abs(diag)
+        lower, upper = np.min(diag - radii), np.max(diag + radii)
+    if not (np.isfinite(lower) and np.isfinite(upper)):
+        raise ConstructionError(
+            "symmetric part overflows (an entry or a Gershgorin row sum is not finite)"
+        )
+    if dim == 1:  # ARPACK needs dim >= 2
+        c = float(diag[0])
+    else:
+        # every eigenvalue lies in [lower, upper]; the margin keeps sym - sigma I
+        # well conditioned (tol covers a zero symmetric part), and a fixed
+        # start vector keeps c bitwise repeatable
+        sigma = lower - 0.01 * max(-lower, upper, tol)
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        c = float(scipy.sparse.linalg.eigsh(
+            sym, k=1, sigma=sigma, v0=v0, return_eigenvectors=False)[0])
     if c <= tol:
         raise ConstructionError(
             f"symmetric part must be positive definite (smallest eigenvalue {c:.3e})"
         )
-    dim = lm.rows
-    base_mat = mat - c * np.eye(dim)
-    cache: dict[float, tuple] = {}
+    eye = scipy.sparse.eye_array(dim, format="csc")
+    base_mat = mat - c * eye
+    cache: dict = {}
 
     def base(mu, z):
         key = float(mu)
         lu = cache.get(key)
         if lu is None:
-            lu = scipy.linalg.lu_factor(np.eye(dim) + key * base_mat)
-            cache[key] = lu
-        return scipy.linalg.lu_solve(lu, np.asarray(z, dtype=float))
+            lu = cache[key] = scipy.sparse.linalg.splu(eye + key * base_mat)
+        return lu.solve(np.asarray(z, dtype=float))
 
     return Relation(
         dim, c, base, descriptor=LinearDescriptor(lm), validate=False, columnwise=True

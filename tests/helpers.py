@@ -2,6 +2,7 @@
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from elliptic_inclusions import (
     Clamp,
@@ -52,6 +53,17 @@ def random_pd_matrix(rng, dim, cmin=0.5, cmax=3.0, symmetric=False):
     return sym + skew
 
 
+def random_banded_matrix(rng, dim):
+    """Sparse tridiagonal nonsymmetric matrix whose symmetric part has
+    eigenvalues >= 1: diagonal in [1.5, 2.5], off-diagonals carrying a skew
+    part up to 1 and a symmetric part below 0.25 (the elastic benchmark's law)."""
+    diag = rng.uniform(1.5, 2.5, dim)
+    skew = rng.uniform(-1.0, 1.0, dim - 1)
+    sym = rng.uniform(-0.25, 0.25, dim - 1)
+    return scipy.sparse.diags_array([sym - skew, diag, sym + skew], offsets=(-1, 0, 1),
+                                    shape=(dim, dim), format="csc")
+
+
 def random_subspace(rng, n, k):
     return scipy.linalg.orth(rng.standard_normal((n, max(k, 1)))[:, :k]) \
         if k else np.zeros((n, 0))
@@ -72,6 +84,8 @@ def relation_family(name, dim, rng):
     """Named relation families used by the sampling suites."""
     if name == "linear":
         return make_linear(LinearMap(random_pd_matrix(rng, dim)))
+    if name == "banded":
+        return make_linear(random_banded_matrix(rng, dim))
     if name == "sign":
         return make_diagonal(1.0, [Sign()] * dim)
     if name == "power":
@@ -86,4 +100,4 @@ def relation_family(name, dim, rng):
     raise ValueError(name)
 
 
-RELATION_FAMILIES = ("linear", "sign", "power", "mixed")
+RELATION_FAMILIES = ("linear", "sign", "power", "mixed", "banded")

@@ -323,6 +323,7 @@ def test_missing_relation_file_is_config_error(tmp_path):
     report = run_config(write_config(tmp_path, cfg))
     assert report.exit_code == 2
     assert report.data["error"]["code"] == "config_error"
+    assert report.data["error"]["field"] == "relation.path"
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -379,3 +380,89 @@ def test_failed_monotonicity_probe_is_a_construction_error(tmp_path, monkeypatch
     report = json.loads(out.read_bytes())
     assert report["error"]["code"] == "construction_error"
     assert report["pass"] is False
+
+
+def _config_error(tmp_path, cfg):
+    out = tmp_path / "report.json"
+    code = main(["solve", "--config", str(write_config(tmp_path, cfg)),
+                 "--report", str(out)])
+    assert code == 2
+    error = json.loads(out.read_bytes())["error"]
+    assert error["code"] == "config_error"
+    return error
+
+
+@pytest.mark.parametrize("path", [5, ["a"], None, {"file": "rel.mtx"}])
+def test_non_string_relation_path_is_a_config_error(tmp_path, path):
+    cfg = poisson_config(relation={"type": "linear", "path": path})
+    assert _config_error(tmp_path, cfg)["field"] == "relation.path"
+
+
+@pytest.mark.parametrize("field", ["f", "u0"])
+@pytest.mark.parametrize("path", [5, ["f.txt"], 1.5])
+def test_non_string_vector_path_is_a_config_error(tmp_path, field, path):
+    (tmp_path / "f.txt").write_text("1\n1\n1\n")
+    cfg = json.loads((CONFIGS / "dirichlet_ramp.json").read_text())
+    cfg[field] = {"path": path}
+    assert _config_error(tmp_path, cfg)["field"] == field
+
+
+@pytest.mark.parametrize("field", ["f", "u0"])
+def test_unreadable_vector_file_is_a_config_error(tmp_path, field):
+    (tmp_path / "sub").mkdir()
+    cfg = json.loads((CONFIGS / "dirichlet_ramp.json").read_text())
+    cfg[field] = {"path": "sub"}
+    assert _config_error(tmp_path, cfg)["field"] == field
+
+
+MTX_HEADER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("text", [
+    "this is not a matrix market file\n",
+    "%%MatrixMarket matrix coordinate complex general\n4 4 1\n1 1 1.0 2.0\n",
+    MTX_HEADER + "4 4 2\n1 1 inf\n2 2 1.0\n",
+    MTX_HEADER + "4 4 2\n1 1 nan\n2 2 1.0\n",
+], ids=["unparsable", "complex", "inf", "nan"])
+def test_bad_relation_file_is_a_config_error_on_the_path(tmp_path, text):
+    (tmp_path / "rel.mtx").write_text(text)
+    cfg = poisson_config(relation={"type": "linear", "path": "rel.mtx"})
+    assert _config_error(tmp_path, cfg)["field"] == "relation.path"
+
+
+@pytest.mark.parametrize("source", ["inline", "file"])
+def test_overflowing_relation_matrix_is_a_config_error(tmp_path, source):
+    import scipy.io
+    import scipy.sparse
+
+    m = np.full((4, 4), 1e308)
+    if source == "inline":
+        relation = {"type": "linear", "matrix": m.tolist()}
+    else:
+        scipy.io.mmwrite(tmp_path / "rel.mtx", scipy.sparse.coo_array(m), precision=17)
+        relation = {"type": "linear", "path": "rel.mtx"}
+    error = _config_error(tmp_path, poisson_config(relation=relation))
+    assert error["field"] == "relation.matrix"
+    assert "overflows" in error["message"]
+
+
+@pytest.mark.parametrize("entry", [None, {"a": 1}, [1.0]])
+def test_non_numeric_relation_matrix_entry_is_a_config_error(tmp_path, entry):
+    cfg = poisson_config(relation={"type": "linear", "matrix": [[1, entry], [0, 1]]})
+    assert _config_error(tmp_path, cfg)["field"] == "relation.matrix"
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # scipy.sparse.linalg is imported by make_linear on first use only: at
+    # module level it would add its import time to every run's set-up
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, elliptic_inclusions.cli; "
+             "print('scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "False"

@@ -1,13 +1,14 @@
 """End-to-end reports of the shipped configs against committed golden files.
 
-Each of the four ``configs/`` runs under ``solve``, ``verify`` and
+Each of the five ``configs/`` runs under ``solve``, ``verify`` and
 ``oracle-check``; the report (``timing`` removed) and the exit status must
 match ``tests/data/golden/<config>.<command>.json``.  Keys, strings, ints
 and booleans compare exactly; floats to 1e-9 relative or 1e-13 absolute.
 Every fresh report must also be strict JSON: no ``NaN`` or ``Infinity``.
 
 Regenerate the golden files, only when a report change is intended, with
-``PYTHONPATH=src python tests/test_golden_reports.py --write``.
+``PYTHONPATH=src python tests/test_golden_reports.py --write [config ...]``;
+naming configs writes only theirs.
 """
 
 import json
@@ -20,7 +21,7 @@ from elliptic_inclusions.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden"
-CONFIGS = ("poisson_1d", "sign_diagonal", "dirichlet_ramp", "neumann_1d")
+CONFIGS = ("poisson_1d", "sign_diagonal", "dirichlet_ramp", "neumann_1d", "elastic_mtx")
 COMMANDS = ("solve", "verify", "oracle-check")
 CASES = [(c, cmd) for c in CONFIGS for cmd in COMMANDS]
 
@@ -63,14 +64,15 @@ def test_report_matches_golden(config, command, tmp_path, monkeypatch):
     _assert_close(actual, expected, f"{config}.{command}")
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+if __name__ == "__main__" and sys.argv[1:2] == ["--write"]:
     import os
     import tempfile
 
     os.chdir(ROOT)
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for config, command in CASES:
-            data = _run(config, command, Path(tmp) / "report.json")
-            (GOLDEN / f"{config}.{command}.json").write_text(
-                json.dumps(data, sort_keys=True, indent=2) + "\n")
+        for config in sys.argv[2:] or CONFIGS:
+            for command in COMMANDS:
+                data = _run(config, command, Path(tmp) / "report.json")
+                (GOLDEN / f"{config}.{command}.json").write_text(
+                    json.dumps(data, sort_keys=True, indent=2) + "\n")

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from elliptic_inclusions import (
     Clamp,
@@ -14,6 +15,7 @@ from elliptic_inclusions import (
     DomainError,
     InputError,
     Linear,
+    LinearMap,
     Power,
     Relation,
     Relay,
@@ -26,7 +28,12 @@ from elliptic_inclusions import (
 )
 from elliptic_inclusions.oracle import _prox
 from elliptic_inclusions.relations import graph_base_resolvent
-from helpers import RELATION_FAMILIES, random_pd_matrix, relation_family
+from helpers import (
+    RELATION_FAMILIES,
+    random_banded_matrix,
+    random_pd_matrix,
+    relation_family,
+)
 
 
 def test_make_linear_scaled_identity():
@@ -60,6 +67,82 @@ def test_make_linear_rejects_indefinite():
         make_linear(np.array([[1.0, 0.0], [0.0, -0.5]]))
     with pytest.raises(ConstructionError):
         make_linear(np.ones((2, 3)))
+
+
+def _random_sparse_pd(rng, dim, density):
+    """Random sparse nonsymmetric matrix, its symmetric part made diagonally
+    dominant by a margin in [0.1, 1]."""
+    m = scipy.sparse.random_array((dim, dim), density=density, rng=rng,
+                                  data_sampler=rng.standard_normal).toarray()
+    sym = 0.5 * (m + m.T)
+    dominance = np.sum(np.abs(sym), axis=1) - 2.0 * np.abs(np.diag(sym))
+    return m + np.diag(dominance + rng.uniform(0.1, 1.0, dim))
+
+
+def _dense_reference_cases():
+    rng = np.random.default_rng(60)
+    cases = [pytest.param(random_pd_matrix(rng, dim), id=f"pd{dim}")
+             for dim in range(1, 61)]
+    cases += [pytest.param(random_banded_matrix(rng, dim).toarray(), id=f"banded{dim}")
+              for dim in (1, 2, 3, 17, 120)]
+    cases += [pytest.param(_random_sparse_pd(rng, dim, density),
+                           id=f"sparse{dim}-{density}")
+              for dim in (2, 9, 40, 150) for density in (0.02, 0.1, 0.4)]
+    return cases
+
+
+@pytest.mark.parametrize("m", _dense_reference_cases())
+def test_make_linear_matches_dense_reference(m):
+    rng = np.random.default_rng(61)
+    dim = m.shape[0]
+    rel = make_linear(scipy.sparse.csr_array(m))
+    c_ref = scipy.linalg.eigh(0.5 * (m + m.T), eigvals_only=True)[0]
+    assert abs(rel.c - c_ref) <= 1e-12 * abs(c_ref)
+    ys = 3.0 * rng.standard_normal((dim, 4))
+    x_ref = np.linalg.solve(m, ys)
+    assert np.linalg.norm(rel.inverse(ys) - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+    for lam in (0.1, 1.0, 10.0):
+        z = ys[:, 0]
+        s_ref = np.linalg.solve(np.eye(dim) + lam * m, z)
+        assert np.linalg.norm(rel.resolvent(lam, z) - s_ref) \
+            <= 1e-13 * np.linalg.norm(s_ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 30])
+def test_make_linear_input_format_does_not_change_bits(dim):
+    rng = np.random.default_rng(62)
+    m = random_banded_matrix(rng, dim)
+    builds = [make_linear(m), make_linear(m.toarray()), make_linear(m.tocoo()),
+              make_linear(LinearMap(m)), make_linear(m)]
+    ys = 3.0 * rng.standard_normal((dim, 3))
+    first = builds[0]
+    for rel in builds[1:]:
+        assert rel.c == first.c
+        assert np.array_equal(rel.inverse(ys), first.inverse(ys))
+        assert np.array_equal(rel.resolvent(0.3, ys[:, 0]), first.resolvent(0.3, ys[:, 0]))
+    assert isinstance(first.descriptor.matrix, LinearMap)
+    assert np.array_equal(first.descriptor.matrix.matrix, m.toarray())
+
+
+@pytest.mark.parametrize("m", [
+    np.diag([2.0, 1.0, -0.5]),
+    np.diag([1.0, 0.0]),  # Gershgorin bound exact and zero
+    np.diag([3.0, 1e-12, 2.0]),
+    np.zeros((3, 3)),
+    np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 2.0], [0.0, 2.0, 1.0]]),
+    np.diag(np.r_[np.full(40, 2.0), -1e-3]) + np.diag(np.ones(40), 1),
+], ids=["diag", "diag_zero", "diag_tiny", "zero", "tridiag", "dim41"])
+def test_make_linear_rejects_indefinite_dense_and_sparse(m):
+    for matrix in (m, scipy.sparse.csc_array(m)):
+        with pytest.raises(ConstructionError, match="positive definite"):
+            make_linear(matrix)
+
+
+def test_make_linear_rejects_overflowing_symmetric_part():
+    with pytest.raises(ConstructionError, match="overflows"):
+        make_linear(np.full((2, 2), 1e308))
+    with pytest.raises(ConstructionError, match="overflows"):
+        make_linear(scipy.sparse.csc_array(np.full((3, 3), 1e308)))
 
 
 def test_diagonal_sign_soft_threshold():
