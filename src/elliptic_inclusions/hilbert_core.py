@@ -4,17 +4,21 @@ The central object is the restriction of a matrix to the orthogonal
 complement of its kernel, mapped onto its range.  That restriction is
 invertible, and it powers a three-level norm scale: the graph norm |Ax|
 above, the plain Euclidean norm in the middle, and a dual norm below.
-The restriction is factored once per map by a thin SVD, so dual-norm
+The restriction is factored once per map, and no inverse is ever
+assembled.  Most maps are factored by a dense thin SVD, so dual-norm
 quantities and restricted inverses divide by its singular values in the
-singular bases; no inverse is ever assembled.
+singular bases.  A large, injective, well-conditioned map is factored
+instead by one sparse LU of its normal matrix A^T A (see
+``restrict_operator``).
 
-Everything is real and dense internally; sparse input is accepted and
-converted (problems here are desk scale, direct factorizations are fine).
+Matrices are held dense (``LinearMap``); sparse input is accepted and
+converted.  Only the normal-equation restriction works on CSR copies.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 import os
 
 import numpy as np
@@ -25,6 +29,8 @@ import scipy.sparse
 from .errors import DomainError, InputError
 
 DEFAULT_TOL = 1e-10
+
+_log = logging.getLogger(__name__)
 
 
 def _as_array_1d(x, dim=None, name="vector"):
@@ -99,7 +105,26 @@ def as_linear_map(value) -> LinearMap:
     return LinearMap(value)
 
 
-class Subspace:
+class _Projector:
+    """Membership checks shared by every orthogonal projector onto a subspace.
+
+    Subclasses provide ``project`` and ``ambient_dim``.
+    """
+
+    __slots__ = ()
+
+    def membership_residual(self, x) -> float:
+        x = _as_array_1d(x, self.ambient_dim, "x")
+        return float(np.linalg.norm(x - self.project(x)))
+
+    def require(self, x, tol, what, code=None) -> None:
+        """Raise ``DomainError`` unless |x - P x| <= tol * max(1, |x|)."""
+        resid = self.membership_residual(x)
+        if resid > tol * max(1.0, float(np.linalg.norm(x))):
+            raise DomainError(f"{what} (off-subspace component {resid:.3e})", code=code)
+
+
+class Subspace(_Projector):
     """Subspace of R^n stored as an (n, k) matrix with orthonormal columns."""
 
     __slots__ = ("_basis", "_tol")
@@ -120,14 +145,25 @@ class Subspace:
             gram = b.T @ b
             if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-12:
                 raise InputError("basis columns must be orthonormal (to 1e-12)")
+        self._store(b, tol)
+
+    def _store(self, b, tol):
         b = b.copy()
         b.flags.writeable = False
         self._basis = b
         self._tol = float(tol)
 
     @classmethod
+    def _orthonormal(cls, basis, tol=DEFAULT_TOL) -> "Subspace":
+        """Wrap columns that are orthonormal by construction (singular
+        vectors from LAPACK), without the Gram check of ``__init__``."""
+        sub = cls.__new__(cls)
+        sub._store(basis, tol)
+        return sub
+
+    @classmethod
     def full(cls, n) -> "Subspace":
-        return cls(n, np.eye(n))
+        return _WholeSpace(n)
 
     @classmethod
     def zero(cls, n) -> "Subspace":
@@ -156,21 +192,11 @@ class Subspace:
             return np.zeros_like(x)
         return self._basis @ (self._basis.T @ x)
 
-    def membership_residual(self, x) -> float:
-        x = _as_array_1d(x, self.ambient_dim, "x")
-        return float(np.linalg.norm(x - self.project(x)))
-
-    def require(self, x, tol, what, code=None) -> None:
-        """Raise ``DomainError`` unless |x - P x| <= tol * max(1, |x|)."""
-        resid = self.membership_residual(x)
-        if resid > tol * max(1.0, float(np.linalg.norm(x))):
-            raise DomainError(f"{what} (off-subspace component {resid:.3e})", code=code)
-
     def complement(self) -> "Subspace":
         """Orthogonal complement within the ambient space."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
-        return kernel_basis(LinearMap(self._basis.T), self._tol)
+        return kernel_basis(LinearMap(self.basis.T), self._tol)
 
     def intersect(self, other: "Subspace", tol=None) -> "Subspace":
         """Intersection with another subspace of the same ambient space."""
@@ -181,13 +207,39 @@ class Subspace:
             return Subspace.zero(self.ambient_dim)
         n = self.ambient_dim
         eye = np.eye(n)
-        off_self = eye - self._basis @ self._basis.T
+        off_self = eye - self.basis @ self.basis.T
         off_other = eye - other.basis @ other.basis.T
         stacked = np.vstack([off_self, off_other])
         return kernel_basis(LinearMap(stacked), tol)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of R^{self.ambient_dim})"
+
+
+class _WholeSpace(Subspace):
+    """R^n itself: the projection is the identity, and the identity basis
+    is built only when it is read."""
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n, tol=DEFAULT_TOL):
+        self._n, self._basis, self._tol = int(n), None, float(tol)
+
+    @property
+    def basis(self) -> np.ndarray:
+        if self._basis is None:
+            self._basis = np.eye(self._n)
+            self._basis.flags.writeable = False
+        return self._basis
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._n
+
+    dim = ambient_dim
+
+    def project(self, x) -> np.ndarray:
+        return _as_array_1d(x, self._n, "x").copy()
 
 
 class SobolevNormKind(enum.Enum):
@@ -221,14 +273,14 @@ def kernel_basis(m, tol=DEFAULT_TOL) -> Subspace:
     """
     a = as_linear_map(m).matrix
     _, _, vh, rank = _rank_svd(a, tol)
-    return Subspace(a.shape[1], vh[rank:].T, tol)
+    return Subspace._orthonormal(vh[rank:].T, tol)
 
 
 def range_basis(m, tol=DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the column space of ``m``; same rank rule."""
     a = as_linear_map(m).matrix
     u, _, _, rank = _rank_svd(a, tol, full_v=False)
-    return Subspace(a.shape[0], u[:, :rank], tol)
+    return Subspace._orthonormal(u[:, :rank], tol)
 
 
 class RestrictedOperator:
@@ -240,6 +292,9 @@ class RestrictedOperator:
     invertible diagonal matrix ``diag(sv)``.  The smallest singular value
     is the discrete constant in |x| <= |Ax| / sv[-1] on the kernel
     complement.
+
+    The solve methods take arguments already checked to lie in their
+    spaces (``b_star_inverse``, ``b_inverse`` and ``sobolev_norm`` check).
     """
 
     __slots__ = ("full_map", "ker", "ran", "ran_adj", "sv", "tol")
@@ -260,33 +315,192 @@ class RestrictedOperator:
     def rank(self) -> int:
         return self.sv.shape[0]
 
+    def pull_back(self, f) -> np.ndarray:
+        """The w in the range with A^T w = f, for f in the kernel complement."""
+        return self.ran.basis @ ((self.ran_adj.basis.T @ f) / self.sv)
+
+    def push_forward(self, v) -> np.ndarray:
+        """The u in the kernel complement with A u = v, for v in the range."""
+        return self.ran_adj.basis @ ((self.ran.basis.T @ v) / self.sv)
+
+    def dual_norm(self, x) -> float:
+        """sqrt(<x, (A^T A)^+ x>) for x in the kernel complement."""
+        return float(np.linalg.norm((self.ran_adj.basis.T @ x) / self.sv))
+
+    def svd_range_basis(self) -> np.ndarray:
+        """The left singular vectors spanning the range (range coordinates)."""
+        return self.ran.basis
+
     def __repr__(self):
         return f"RestrictedOperator(rank={self.rank}, shape={self.full_map.shape})"
 
 
-def restrict_operator(m, tol=DEFAULT_TOL) -> RestrictedOperator:
-    """Build the invertible restriction of ``m`` from a single thin SVD.
+class _NormalRange(_Projector):
+    """ran(A) of an injective A, projected through one sparse LU of G = A^T A.
 
-    The factors are computed once per ``LinearMap`` and ``tol`` and cached
-    on the map; they hold no reference back to it.  The zero map yields a
-    0-dimensional restriction, which is vacuously invertible; every derived
-    solve then returns the zero vector.
+    Holds CSR copies of A and A^T, the LU and the certified ``lambda_min``
+    of G, never the ``LinearMap``: it is cached on that map, and a
+    reference back would make a cycle.  ``svd_basis`` caches the SVD's
+    range basis once something asks for it.
+    """
+
+    __slots__ = ("a", "at", "lu", "lambda_min", "svd_basis")
+
+    def __init__(self, a, at, lu, lambda_min):
+        self.a, self.at, self.lu = a, at, lu
+        self.lambda_min, self.svd_basis = lambda_min, None
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[1]
+
+    def project(self, x) -> np.ndarray:
+        """Orthogonal projection A G^-1 A^T x onto the range."""
+        x = _as_array_1d(x, self.ambient_dim, "x")
+        return self.a @ self.lu.solve(self.at @ x)
+
+
+class NormalRestriction:
+    """The restriction of an injective matrix, held by a sparse LU of A^T A.
+
+    With a trivial kernel the restriction is A itself, from all of R^n onto
+    its range: ``ker`` is zero, ``ran_adj`` the whole domain, and ``ran``
+    the range projector A G^-1 A^T (G = A^T A), which stores no basis.  The
+    solve methods mirror ``RestrictedOperator``'s.
+    """
+
+    __slots__ = ("full_map", "ker", "ran", "ran_adj", "tol")
+
+    def __init__(self, full_map, ker, ran, ran_adj, tol=DEFAULT_TOL):
+        self.full_map = as_linear_map(full_map)
+        self.ker = ker
+        self.ran = ran
+        self.ran_adj = ran_adj
+        self.tol = float(tol)
+
+    @property
+    def rank(self) -> int:
+        return self.ran.dim
+
+    def pull_back(self, f) -> np.ndarray:
+        return self.ran.a @ self.ran.lu.solve(f)
+
+    def push_forward(self, v) -> np.ndarray:
+        return self.ran.lu.solve(self.ran.at @ v)
+
+    def dual_norm(self, x) -> float:
+        return float(np.sqrt(max(float(x @ self.ran.lu.solve(x)), 0.0)))
+
+    def svd_range_basis(self) -> np.ndarray:
+        """The dense path's range basis, bit for bit (one thin SVD, cached)."""
+        if self.ran.svd_basis is None:
+            self.ran.svd_basis = range_basis(self.full_map, self.tol).basis
+        return self.ran.svd_basis
+
+    def __repr__(self):
+        return f"NormalRestriction(rank={self.rank}, shape={self.full_map.shape})"
+
+
+# Maps with fewer dense entries (rows * cols) keep the SVD, the reference
+# path, and its results bit for bit.  The range projection of a DR iteration
+# crosses over between grad2d zero 10x10 (22k entries) and 16x16 (139k); the
+# gate sits above that, where the sparse path wins several-fold (20x20, 336k
+# entries: 31 against 171 us per projection; BENCH_sparse_restriction.json).
+_NORMAL_MIN_ENTRIES = 300_000
+# The LU path needs lambda_min(G) >= _NORMAL_MIN_RATIO * (Gershgorin bound
+# of G).  Then cond(G) <= 1e4, so the normal-equation solves keep about 12
+# digits, well below the default tol, and sigma_min >= 1e-2 * sigma_max,
+# so the SVD rule (with tol < 1e-2) finds full rank as well.
+_NORMAL_MIN_RATIO = 1e-4
+
+
+def _normal_range(a, tol):
+    """Factor ``a`` through A^T A if the gate of ``restrict_operator`` admits it.
+
+    Returns ``(_NormalRange, None)``, ``(None, None)`` for a map the gate
+    does not consider (too small), or ``(None, reason)`` for one it rejects.
+    """
+    rows, cols = a.shape
+    if a.size < _NORMAL_MIN_ENTRIES:
+        return None, None
+    if not 2 <= cols <= rows:
+        return None, f"shape {rows}x{cols} is not tall"
+    if not 0.0 <= tol < _NORMAL_MIN_RATIO ** 0.5:
+        return None, f"rank tol {tol:g} is outside the range the gate can certify"
+    # imported here, not at module level: runs on small maps never need it
+    import scipy.sparse.linalg
+
+    a_csr = scipy.sparse.csr_array(a)
+    at = a_csr.T.tocsr()
+    g = (at @ a_csr).tocsc()
+    try:  # G is symmetric positive definite when A is injective: no pivoting
+        lu = scipy.sparse.linalg.splu(g, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
+    except RuntimeError as exc:  # an exactly singular pivot
+        return None, f"SuperLU: {exc}"
+    # largest eigenvalue of G^-1, from a fixed start so that it repeats bitwise
+    inv = scipy.sparse.linalg.LinearOperator(g.shape, matvec=lu.solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(cols)
+    try:
+        mu = float(scipy.sparse.linalg.eigsh(inv, k=1, v0=v0,
+                                             return_eigenvectors=False)[0])
+    except scipy.sparse.linalg.ArpackError as exc:  # no convergence, among others
+        return None, f"ARPACK: {exc}"
+    bound = float(abs(g).sum(axis=0).max())
+    lam_min = 1.0 / mu if mu > 0.0 else 0.0
+    if not lam_min >= _NORMAL_MIN_RATIO * bound:
+        return None, (f"lambda_min(A^T A) = {lam_min:.3e} is below "
+                      f"{_NORMAL_MIN_RATIO:g} x its Gershgorin bound {bound:.3e}")
+    return _NormalRange(a_csr, at, lu, lam_min), None
+
+
+def restrict_operator(m, tol=DEFAULT_TOL):
+    """Build the invertible restriction of ``m``, factored once per map and tol.
+
+    A map with at least ``_NORMAL_MIN_ENTRIES`` dense entries and at least
+    as many rows as columns is tried on the sparse path: an LU of A^T A
+    that SuperLU completes, and ARPACK's lambda_min(A^T A) at least
+    ``_NORMAL_MIN_RATIO`` times its Gershgorin bound, give a
+    ``NormalRestriction``.  Every other map gets a ``RestrictedOperator``
+    from one thin SVD; a tried map that falls back logs why.  The choice
+    depends on the map alone and repeats bitwise.
+
+    The factors are cached on the map; they hold no reference back to it.
+    The zero map yields a 0-dimensional restriction, which is vacuously
+    invertible; every derived solve then returns the zero vector.
     """
     lm = as_linear_map(m)
     factors = lm._restrictions.get(tol)
     if factors is None:
-        a = lm.matrix
-        u, s, vh, rank = _rank_svd(a, tol)
-        sv = s[:rank].copy()
-        sv.flags.writeable = False
-        factors = (
-            Subspace(a.shape[1], vh[rank:].T, tol),
-            Subspace(a.shape[0], u[:, :rank], tol),
-            Subspace(a.shape[1], vh[:rank].T, tol),
-            sv,
-        )
-        lm._restrictions[tol] = factors
+        factors = lm._restrictions[tol] = _factor(lm.matrix, tol)
+    if isinstance(factors[1], _NormalRange):
+        return NormalRestriction(lm, *factors, tol)
     return RestrictedOperator(lm, *factors, tol)
+
+
+def _factor(a, tol):
+    """The cached factors of ``restrict_operator``: (ker, ran, ran_adj[, sv])."""
+    rows, cols = a.shape
+    ran, reason = _normal_range(a, tol)
+    if ran is not None:
+        return Subspace.zero(cols), ran, Subspace.full(cols)
+    if reason is not None:
+        _log.info("restriction of a %dx%d map falls back to the SVD: %s",
+                  rows, cols, reason)
+    u, s, vh, rank = _rank_svd(a, tol)
+    sv = s[:rank].copy()
+    sv.flags.writeable = False
+    return (
+        Subspace._orthonormal(vh[rank:].T, tol),
+        Subspace._orthonormal(u[:, :rank], tol),
+        Subspace._orthonormal(vh[:rank].T, tol),
+        sv,
+    )
 
 
 def sobolev_norm(ctx, kind, x, cmap=None) -> float:
@@ -294,7 +508,7 @@ def sobolev_norm(ctx, kind, x, cmap=None) -> float:
 
     Parameters
     ----------
-    ctx : RestrictedOperator or None
+    ctx : RestrictedOperator, NormalRestriction or None
         Required for the B-based kinds; ignored by the C-based ones.
     kind : SobolevNormKind or str
         Which level of the scale to evaluate.
@@ -325,29 +539,25 @@ def sobolev_norm(ctx, kind, x, cmap=None) -> float:
     ctx.ran_adj.require(x, ctx.tol, "x must lie in the kernel complement")
     if kind is SobolevNormKind.H1_B:
         return float(np.linalg.norm(ctx.full_map.matrix @ x))
-    # HM1_B: sqrt(<x, (B^T B)^{-1} x>) = |B^{-T} xi| in reduced coordinates
-    xi = ctx.ran_adj.basis.T @ x
-    return float(np.linalg.norm(xi / ctx.sv))
+    return ctx.dual_norm(x)  # HM1_B: sqrt(<x, (B^T B)^{-1} x>)
 
 
-def b_star_inverse(ctx: RestrictedOperator, f) -> np.ndarray:
+def b_star_inverse(ctx, f) -> np.ndarray:
     """Unique w in the range of A with A^T w = f, for f in the kernel complement."""
     f = _as_array_1d(f, ctx.full_map.cols, "f")
     ctx.ran_adj.require(f, ctx.tol, "f has a component in the kernel of A",
                         code="rhs_not_in_H_minus_1")
-    phi = ctx.ran_adj.basis.T @ f
-    return ctx.ran.basis @ (phi / ctx.sv)
+    return ctx.pull_back(f)
 
 
-def b_inverse(ctx: RestrictedOperator, v) -> np.ndarray:
+def b_inverse(ctx, v) -> np.ndarray:
     """Unique u in the kernel complement with A u = v, for v in the range of A."""
     v = _as_array_1d(v, ctx.full_map.rows, "v")
     ctx.ran.require(v, ctx.tol, "v has a component outside the range of A")
-    eta = ctx.ran.basis.T @ v
-    return ctx.ran_adj.basis @ (eta / ctx.sv)
+    return ctx.push_forward(v)
 
 
-def embedding_constant(ctx: RestrictedOperator, cmap) -> float:
+def embedding_constant(ctx, cmap) -> float:
     """Smallest L with sqrt(|Cx|^2 + |x|^2) <= L * |Ax| on the kernel complement.
 
     Solves the generalized eigenproblem (C^T C + I) x = lam A^T A x restricted

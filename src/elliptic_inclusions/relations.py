@@ -386,6 +386,9 @@ def projected_inverse(
 ) -> GraphPoint:
     """Solve w in P a(x) with x in U, P the orthogonal projection onto U.
 
+    ``subspace`` is a ``Subspace`` or any projector onto U with ``project``,
+    ``require`` and ``ambient_dim``, such as a sparse restriction's range.
+
     Douglas-Rachford iteration on 0 in (a - (0, w))(x) + N_U(x): the normal
     cone resolvent is the projection, the other resolvent comes from the
     relation.  Strong monotonicity makes the solution unique.  Returns the

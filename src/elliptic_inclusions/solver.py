@@ -198,11 +198,12 @@ def _invert_on_range(restricted, relation, w, tol, lam, max_iter, dr_start):
         )
         return point.x, point.y, point, point.iterations
     if relation.dim == restricted.ran.dim:
-        # relation declared directly in range coordinates
-        omega = restricted.ran.basis.T @ w
+        # relation declared directly in range coordinates, those of the SVD
+        basis = restricted.svd_range_basis()
+        omega = basis.T @ w
         xc = relation.inverse(omega)
         point = GraphPoint(xc, omega, relation.graph_residual(xc, omega), iterations=0)
-        return restricted.ran.basis @ xc, w, point, 0
+        return basis @ xc, w, point, 0
     raise InputError(
         f"relation dimension {relation.dim} matches neither the codomain "
         f"({m}) nor the range ({restricted.ran.dim}) of A"

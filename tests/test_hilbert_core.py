@@ -13,6 +13,7 @@ from elliptic_inclusions import (
     DomainError,
     InputError,
     LinearMap,
+    NormalRestriction,
     SobolevNormKind,
     Subspace,
     b_inverse,
@@ -25,6 +26,7 @@ from elliptic_inclusions import (
     save_basis_columns,
     sobolev_norm,
 )
+from elliptic_inclusions import hilbert_core
 from elliptic_inclusions.cli import main
 from helpers import DIRICHLET_GRAD_3, NEUMANN_GRAD_3, random_operator
 
@@ -147,16 +149,24 @@ def test_restrict_operator_reuses_factors_per_map_and_tol():
     assert np.allclose(raw.sv, first.sv)
 
 
-def test_restrict_operator_leaves_no_cyclic_garbage():
+def test_restrict_operator_leaves_no_cyclic_garbage(monkeypatch):
     rng = np.random.default_rng(37)
+    # injective maps take the sparse path, rank-deficient ones the SVD
+    monkeypatch.setattr(hilbert_core, "_NORMAL_MIN_ENTRIES", 0)
+    restrict_operator(np.eye(3))  # first use imports scipy.sparse.linalg
     gc.collect()
     gc.disable()
     try:
-        for _ in range(4):
-            lm = LinearMap(random_operator(rng, 6, 4, 3))
+        for rank in (3, 4, 3, 4):
+            lm = LinearMap(random_operator(rng, 6, 4, rank))
             restricted = restrict_operator(lm)
-            assert restricted.full_map.rows - restricted.rank == 3
-            assert restricted.sv.shape == (3,)
+            assert restricted.full_map.rows - restricted.rank == 6 - rank
+            if rank == 3:
+                assert restricted.sv.shape == (3,)
+            else:
+                assert isinstance(restricted, NormalRestriction)
+                restricted.svd_range_basis()  # cached on the factors
+                restricted.ran.project(rng.standard_normal(6))
             del lm, restricted
         assert gc.collect() == 0
     finally:
