@@ -406,7 +406,8 @@ def _perturbed_problem(problem, rng):
 def _check_estimate(problem, solution, seed, which):
     rng = np.random.default_rng(seed)
     other = _perturbed_problem(problem, rng)
-    other_solution = solve(other)
+    # the perturbed solve starts where the main solve's iteration stopped
+    other_solution = solve(other, dr_start=solution.certificate.dr_state)
     if which == "dirichlet_estimate":
         report = verify_dirichlet_estimate(problem, other, solution, other_solution)
     else:
@@ -522,6 +523,8 @@ def run_config(path, overrides=None, checks_override=None) -> RunReport:
         "reports": {k: float(v) for k, v in solution.diagnostics.items()
                     if k.startswith("report_")},
         "iterations": int(solution.diagnostics.get("n_iterations", 0)),
+        "extrapolations": {"accepted": solution.certificate.accepted,
+                           "rejected": solution.certificate.rejected},
         "checks": check_results,
         "pass": bool(all_pass),
         "timing": {"seconds": time.perf_counter() - started},
@@ -551,6 +554,9 @@ def emit_report(report: RunReport, fmt="json") -> bytes:
             lines.append(f"u: length {len(u)}, euclidean norm "
                          f"{float(np.linalg.norm(u)):.12g}")
         lines.append(f"iterations: {d['iterations']}")
+        ext = d["extrapolations"]
+        lines.append(f"extrapolations: {ext['accepted']} accepted, "
+                     f"{ext['rejected']} rejected")
         for key in sorted(d["residuals"]):
             lines.append(f"{key}: {d['residuals'][key]:.3e}")
         for key in sorted(d["norms"]):

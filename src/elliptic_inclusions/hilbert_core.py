@@ -55,7 +55,8 @@ class LinearMap:
     __slots__ = ("_a", "_restrictions")
 
     def __init__(self, entries):
-        if scipy.sparse.issparse(entries):
+        owned = scipy.sparse.issparse(entries)  # densified here: no caller holds it
+        if owned:
             entries = entries.toarray()
         entries = np.asarray(entries)
         if np.iscomplexobj(entries):
@@ -65,7 +66,8 @@ class LinearMap:
             raise InputError(f"expected a matrix, got an array of shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InputError("matrix entries must be finite")
-        a = a.copy()
+        if not owned:
+            a = a.copy()
         a.flags.writeable = False
         self._a = a
         self._restrictions = {}

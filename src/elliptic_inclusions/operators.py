@@ -93,7 +93,7 @@ def _axis_diff(shape, axis):
 
 def _free_gradient(shape, h):
     blocks = [_axis_diff(shape, a) for a in range(len(shape))]
-    return (sp.vstack(blocks, format="csr") / h).toarray(), None
+    return sp.vstack(blocks, format="csr") / h, None
 
 
 def _free_symgrad_2d(shape, h):
@@ -117,7 +117,7 @@ def _free_symgrad_2d(shape, h):
     e11 = sp.hstack([dx, zero_x], format="csr")
     e22 = sp.hstack([zero_y, dy], format="csr")
     e12 = sp.hstack([dy_on_cells, dx_on_cells], format="csr") / np.sqrt(2.0)
-    matrix = sp.vstack([e11, e22, e12], format="csr").toarray()
+    matrix = sp.vstack([e11, e22, e12], format="csr")
     # the measure weight h and the 1/h of the stencil cancel for the normal
     # rows; the shear rows carry sqrt(2)*h on the averaged stencil
     weights = np.concatenate([
@@ -167,7 +167,7 @@ def _free_curl_3d(shape, h):
     dy_ex = _axis_diff(ex_shape, 1)
     fz = sp.hstack([-dy_ex, dx_ey, zeros(dx_ey.shape[0], sizes[2])], format="csr")
 
-    return (sp.vstack([fx, fy, fz], format="csr") / h).toarray(), None
+    return sp.vstack([fx, fy, fz], format="csr") / h, None
 
 
 def _interior_columns(shape, components):
@@ -185,11 +185,13 @@ def _interior_columns(shape, components):
 def _zero_boundary_from_free(shape, h, free_builder, components):
     ext_shape = tuple(s + 2 for s in shape)
     full, weights = free_builder(ext_shape, h)
-    cols = _interior_columns(shape, components)
-    restricted = full[:, cols]
-    keep = np.any(restricted != 0.0, axis=1)
+    restricted = full[:, _interior_columns(shape, components)].tocsr()
+    # a row stays when it holds a nonzero value; stored zeros do not count
+    keep = np.zeros(restricted.shape[0], dtype=bool)
+    keep[np.repeat(np.arange(restricted.shape[0]), np.diff(restricted.indptr))
+         [restricted.data != 0.0]] = True
     weights = weights[keep] if weights is not None else None
-    return restricted[keep], weights
+    return restricted[np.flatnonzero(keep)], weights
 
 
 def build_operator(spec: OperatorSpec) -> BuiltOperator:

@@ -6,12 +6,14 @@ a total nonexpansive map for every positive step.  Everything else is
 resolvent algebra: inversion is a single evaluation, shifting rewrites the
 resolvent argument, and composing with an orthogonal projection is
 inverted by Douglas-Rachford iteration in which the projection is the
-second resolvent.
+second resolvent.  That iteration is accelerated by safeguarded type-II
+Anderson extrapolation, which never costs an extra evaluation of the
+Douglas-Rachford map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -27,6 +29,16 @@ _SCALAR_ROOT_FLOOR = 1e-300
 # sampled entries (trials * 2 * dim) per inverse call of the monotonicity
 # probe; bounds the probe's working memory whatever the trial count
 _PROBE_BLOCK_ENTRIES = 4096
+# Anderson-accelerated Douglas-Rachford (see projected_inverse): iterates
+# remembered; Tikhonov weight relative to the trace of the residual Gram
+# matrix; the safeguard envelope's D and exponent -(1 + eps); and the
+# gap ratio below which plain DR is fast enough to keep.  Measured over
+# seeded random problems up to 9 rows and on grid problems
+_ANDERSON_MEMORY = 5
+_ANDERSON_REGULARIZATION = 1e-10
+_SAFEGUARD_SCALE = 1e6
+_SAFEGUARD_DECAY = -(1.0 + 1e-6)
+_ANDERSON_SLOW_RATE = 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +180,20 @@ class DiagonalDescriptor:
 
 @dataclass
 class GraphPoint:
-    """A candidate membership pair; residual is zero exactly when it belongs."""
+    """A candidate membership pair; residual is zero exactly when it belongs.
+
+    A pair found by ``projected_inverse`` also records the Douglas-Rachford
+    evaluations (``iterations``), its accepted and rejected extrapolations,
+    and its final iterate ``dr_state``.
+    """
 
     x: np.ndarray
     y: np.ndarray
     residual: float
     iterations: int | None = None
+    accepted: int = 0
+    rejected: int = 0
+    dr_state: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -375,6 +395,58 @@ def make_diagonal(c, graphs) -> Relation:
     )
 
 
+class _Anderson:
+    """Type-II Anderson extrapolation of a fixed-point map T(s) = s + g(s).
+
+    The differences of T-values and of residuals between consecutive
+    iterates fill (n, memory) ring buffers, and the Gram matrix of the
+    residual differences gains one row and column per ``push``.  An
+    extrapolation then solves a Tikhonov-regularized memory x memory system
+    and never factors an n-row array.
+    """
+
+    __slots__ = ("dt", "dg", "gram", "eye", "size", "head", "prev")
+
+    def __init__(self, n, memory):
+        # column-major, so each stored difference is one contiguous column
+        self.dt = np.empty((n, memory), order="F")
+        self.dg = np.empty((n, memory), order="F")
+        self.gram = np.empty((memory, memory))
+        self.eye = np.eye(memory)
+        self.size = self.head = 0
+        self.prev = None
+
+    def push(self, t, g):
+        """Record the next iterate through its T-value t and residual g."""
+        if self.prev is not None:
+            pt, pg = self.prev
+            j = self.head
+            dg = self.dg[:, j]
+            np.subtract(g, pg, out=dg)
+            np.subtract(t, pt, out=self.dt[:, j])
+            self.size = min(self.size + 1, self.dg.shape[1])
+            self.head = (j + 1) % self.dg.shape[1]
+            row = self.dg[:, :self.size].T @ dg
+            self.gram[j, :self.size] = row
+            self.gram[:self.size, j] = row
+        self.prev = (t, g)
+
+    def clear(self):
+        """Forget the differences; the last iterate stays as the base."""
+        self.size = self.head = 0
+
+    def extrapolate(self, t, g):
+        """T(s) = t minus its least-squares correction; None without history."""
+        k = self.size
+        gram = self.gram[:k, :k]
+        trace = float(gram.trace())
+        if not trace > 0.0:  # no history, or residuals that stopped moving
+            return None
+        gram = gram + (_ANDERSON_REGULARIZATION * trace) * self.eye[:k, :k]
+        gamma = np.linalg.solve(gram, self.dg[:, :k].T @ g)
+        return t - self.dt[:, :k] @ gamma
+
+
 def projected_inverse(
     relation: Relation,
     subspace: Subspace,
@@ -394,6 +466,19 @@ def projected_inverse(
     relation.  Strong monotonicity makes the solution unique.  Returns the
     pair (x, v) with v in a(x) and P v = w, its graph residual, and the
     iteration count.
+
+    The DR map T(s) = s + z - x is accelerated by type-II Anderson
+    extrapolation with memory ``_ANDERSON_MEMORY`` (Fu, Zhang & Boyd 2020).
+    The safeguard costs no evaluation of T: an extrapolated step is taken
+    only while the gap |z - x| did not grow over the previous iterate, stays
+    under the envelope D*gap_0*(n_AA + 1)^-(1 + eps) (Zhang, O'Donoghue &
+    Boyd 2020; n_AA extrapolations so far), and plain DR is contracting
+    slower than ``_ANDERSON_SLOW_RATE``.  An extrapolated point whose gap
+    grew or left the envelope is rejected: the next step is plain and the
+    memory is cleared (a non-finite one is dropped for the plain step it
+    replaced).  ``iterations`` counts evaluations of T, ``accepted`` and
+    ``rejected`` the judged extrapolations, and ``dr_state`` is the final
+    DR iterate, a warm start for a nearby solve.
     """
     w = relation._check_dim(w, "w")
     if subspace.ambient_dim != relation.dim:
@@ -407,24 +492,55 @@ def projected_inverse(
     tol_inner = tol * min(1.0, lam * relation.c)
     shifted = relation.shift(np.zeros_like(w), w)
     s = w.copy() if s0 is None else relation._check_dim(s0, "s0").copy()
+    history = _Anderson(relation.dim, _ANDERSON_MEMORY)
+    accepted = rejected = 0
+    base = None  # T at the point s was extrapolated from, while s is extrapolated
     gap = np.inf
     for k in range(1, max_iter + 1):
         x = subspace.project(s)
         z = shifted.resolvent(lam, 2.0 * x - s)
-        gap = float(np.linalg.norm(z - x))
-        if not np.isfinite(gap):
-            raise ConvergenceError(
-                f"projected inverse broke down at iteration {k} (gap {gap})",
-                residual=gap,
-                iterations=k,
-            )
-        s = s + z - x
+        g = z - x
+        gap_new = float(np.linalg.norm(g))
+        if not np.isfinite(gap_new):
+            if base is None:
+                raise ConvergenceError(
+                    f"projected inverse broke down at iteration {k} (gap {gap_new})",
+                    residual=gap_new,
+                    iterations=k,
+                )
+            # the extrapolated point broke down; the plain step is safe
+            rejected += 1
+            history.clear()
+            s, base = base, None
+            continue
+        gap_prev, gap = gap, gap_new
+        t = s + z - x
+        if k == 1:  # a first gap that is not finite has raised above
+            envelope = _SAFEGUARD_SCALE * gap
+        grew = gap > gap_prev \
+            or gap > envelope * (accepted + rejected + 1) ** _SAFEGUARD_DECAY
+        if base is not None:  # judge the extrapolation that led here
+            if grew:
+                rejected += 1
+            else:
+                accepted += 1
+            base = None
         if gap <= tol_inner:
-            x_out = subspace.project(s)
-            v = w + (x_out - s) / lam
+            x_out = subspace.project(t)
+            v = w + (x_out - t) / lam
             return GraphPoint(
-                x_out, v, relation.graph_residual(x_out, v), iterations=k
+                x_out, v, relation.graph_residual(x_out, v), iterations=k,
+                accepted=accepted, rejected=rejected, dr_state=t,
             )
+        history.push(t, g)
+        if grew:
+            history.clear()
+        elif gap > _ANDERSON_SLOW_RATE * gap_prev:
+            candidate = history.extrapolate(t, g)
+            if candidate is not None:
+                s, base = candidate, t
+                continue
+        s = t
     raise ConvergenceError(
         f"projected inverse did not converge in {max_iter} iterations "
         f"(last gap {gap:.3e})",

@@ -13,7 +13,7 @@ residuals that certify it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -161,6 +161,9 @@ class Solution:
     Keys starting with ``residual_`` certify the solve (all bounded by
     10*tol on success); ``norm_`` entries are plain norms; ``report_``
     entries are informational and can be legitimately large.
+    ``certificate.dr_state`` is the final Douglas-Rachford iterate (None
+    after a direct inversion); ``solve(..., dr_start=...)`` takes it as a
+    warm start for a nearby problem.
     """
 
     u: np.ndarray
@@ -283,8 +286,7 @@ def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
     embed = problem.inclusion.basis
     u = u0 + embed @ u_red
     cu = problem.C.matrix @ u
-    cert = GraphPoint(cu, v, problem.relation.graph_residual(cu, v),
-                      iterations=point.iterations)
+    cert = replace(point, x=cu, y=v, residual=problem.relation.graph_residual(cu, v))
     diagnostics = {
         "residual_graph": cert.residual,
         "residual_adjoint": float(np.linalg.norm(eff.matrix.T @ v - problem.f)),
@@ -350,8 +352,7 @@ def solve_neumann(problem: Problem, dr_start=None) -> Solution:
     )
     v = y + u0
     au = amat @ u
-    cert = GraphPoint(au, v, problem.relation.graph_residual(au, v),
-                      iterations=point.iterations)
+    cert = replace(point, x=au, y=v, residual=problem.relation.graph_residual(au, v))
 
     acomp = amat @ comp
     residual_weak = _normalized_max(aw, wb.T @ problem.f - aw.T @ v)

@@ -148,6 +148,7 @@ def test_main_solve_and_flags(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "status: ok" in captured.out
+    assert "extrapolations: " in captured.out
 
 
 def test_main_verify_dirichlet(tmp_path):

@@ -14,6 +14,7 @@ from elliptic_inclusions import (
     kernel_basis,
     negative_adjoint,
     operator_pair,
+    operators,
 )
 
 
@@ -206,3 +207,43 @@ def test_bad_specs_rejected():
 def test_zero_boundary_single_node():
     built = build_operator(OperatorSpec("grad1d", (1,), 1.0, "zero"))
     assert np.array_equal(built.matrix.matrix, np.array([[1.0], [-1.0]]))
+
+
+def _dense_zero_boundary(shape, h, free_builder, components):
+    """The zero-boundary construction on dense arrays, as a reference."""
+    full, weights = free_builder(tuple(s + 2 for s in shape), h)
+    restricted = full.toarray()[:, operators._interior_columns(shape, components)]
+    keep = np.any(restricted != 0.0, axis=1)
+    return restricted[keep], None if weights is None else weights[keep]
+
+
+@pytest.mark.parametrize("family,shape,components", [
+    ("grad1d", (5,), 1), ("grad2d", (4, 6), 1), ("grad2d", (1, 3), 1),
+    ("symgrad2d", (3, 5), 2), ("symgrad2d", (1, 1), 2),
+])
+def test_zero_boundary_matches_the_dense_construction_bitwise(family, shape, components):
+    builder = operators._free_symgrad_2d if family == "symgrad2d" \
+        else operators._free_gradient
+    matrix, weights = _dense_zero_boundary(shape, 0.3, builder, components)
+    built = build_operator(OperatorSpec(family, shape, 0.3, "zero"))
+    assert built.matrix.matrix.tobytes() == matrix.tobytes()
+    assert built.matrix.shape == matrix.shape
+    if weights is None:
+        assert built.voigt_weights is None
+    else:
+        assert built.voigt_weights.tobytes() == weights.tobytes()
+
+
+def test_zero_boundary_drops_rows_holding_only_stored_zeros():
+    def free_builder(shape, h):
+        # 3 x 3 ghost-extended grid: the interior column is node 4; row 1
+        # stores an explicit zero there, row 2 touches only ghost nodes
+        rows = np.array([0, 1, 2, 3])
+        cols = np.array([4, 4, 0, 4])
+        vals = np.array([1.0, 0.0, 5.0, -2.0])
+        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(4, 9)), None
+
+    matrix, _ = operators._zero_boundary_from_free((1, 1), 1.0, free_builder, 1)
+    assert np.array_equal(matrix.toarray(), np.array([[1.0], [-2.0]]))
+    reference, _ = _dense_zero_boundary((1, 1), 1.0, free_builder, 1)
+    assert np.array_equal(matrix.toarray(), reference)

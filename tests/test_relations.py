@@ -452,6 +452,43 @@ def test_projected_inverse_stops_at_first_non_finite_gap():
     assert np.isnan(info.value.residual)
 
 
+def _sign_line_problem(seed):
+    rng = np.random.default_rng(seed)
+    sub = Subspace(6, np.linalg.qr(rng.standard_normal((6, 2)))[0])
+    return sub, sub.project(3.0 * rng.standard_normal(6))
+
+
+def test_projected_inverse_repeats_bitwise_and_warm_starts_from_its_state():
+    rel = make_diagonal(1.0, [Sign()] * 6)
+    sub, w = _sign_line_problem(3)
+    point = projected_inverse(rel, sub, w)
+    again = projected_inverse(rel, sub, w)
+    assert point.x.tobytes() == again.x.tobytes()
+    assert (point.iterations, point.accepted, point.rejected) == \
+        (again.iterations, again.accepted, again.rejected)
+    assert point.accepted > 0
+    assert point.accepted + point.rejected < point.iterations
+    warm = projected_inverse(rel, sub, w, s0=point.dr_state)
+    assert warm.iterations == 1
+    assert np.allclose(warm.x, point.x, atol=1e-10)
+
+
+def test_projected_inverse_drops_an_extrapolated_point_that_breaks_down():
+    sub, w = _sign_line_problem(6)
+    reference = projected_inverse(make_diagonal(1.0, [Sign()] * 6), sub, w)
+    calls = []
+
+    def base(mu, z):  # the third evaluation is the first extrapolated point
+        calls.append(None)
+        out = graph_base_resolvent(Sign(), mu, z)
+        return np.full_like(out, np.nan) if len(calls) == 3 else out
+
+    point = projected_inverse(Relation(6, 1.0, base, validate=False), sub, w)
+    assert point.rejected == 1
+    assert point.residual <= 1e-9
+    assert np.allclose(point.x, reference.x, atol=1e-9)
+
+
 def test_monotonicity_probe_scaled_identity():
     rel = make_linear(2.5 * np.eye(3))
     report = monotonicity_probe(rel, trials=50, rng_seed=0)
