@@ -1,19 +1,21 @@
-"""Sweeps of the restriction and of Douglas-Rachford on grad2d zero-boundary grids.
+"""Sweeps of the restriction and of Douglas-Rachford on zero-boundary grids.
 
 Run from the repository root:
 
     python3 scripts/restriction_sweep.py > sweep.json
     python3 scripts/restriction_sweep.py --dr > dr_sweep.json
 
-The first form is the dense/sparse crossover.  For each grid n x n and each
-path (the thin SVD, ``RestrictedOperator``; the sparse LU of A^T A,
+The first form is the dense/sparse crossover, on grad2d and symgrad2d
+zero-boundary n x n grids, with the sizes around the gate
+``hilbert_core._NORMAL_MIN_ENTRIES`` sampled densely.  For each grid and
+each path (the thin SVD, ``RestrictedOperator``; the sparse LU of A^T A,
 ``NormalRestriction``) one fresh process, with one BLAS thread, builds the
-operator, restricts it with the path forced through the size gate
-``hilbert_core._NORMAL_MIN_ENTRIES``, times the range projection of one
-Douglas-Rachford (DR) iteration, and solves one sign problem scaled as in
-the ``solve_large_sign`` benchmark workload.  It reports the restriction
-time, the projection time, the DR iterations and time per iteration, and
-the process's peak RSS.
+operator, factors it with the path forced through the size gate (the best
+of 5 factorizations), times the range projection of one Douglas-Rachford
+(DR) iteration (the best of 5 means over 200 projections), and solves one
+sign problem scaled as in the ``solve_large_sign`` benchmark workload.  It
+reports the restriction time, the projection time, the DR iterations and
+time per iteration, and the process's peak RSS.
 
 The ``--dr`` form compares plain and Anderson-accelerated DR on the same
 sign problems at 20 x 20, 30 x 30 and 40 x 40, each grid in one fresh
@@ -31,14 +33,28 @@ import sys
 import time
 from pathlib import Path
 
-GRIDS = (10, 16, 20, 24, 40, 60)
-SVD_MAX_GRID = 40  # the 60 x 60 SVD needs about 1 GB and half a minute
+GRIDS = {  # dense entries from 22,000 (grad2d 10) upwards; the gate is 60,000
+    "grad2d": (10, 11, 12, 13, 14, 16, 20, 24, 40, 60),
+    "symgrad2d": (8, 9, 10, 11, 12, 16, 20),
+}
+SVD_SKIP = {("grad2d", 60)}  # that SVD needs about 1 GB and half a minute
 PROJECTIONS = 200
+REPEATS = 5
 DR_GRIDS = (20, 30, 40)
 DR_STEPS = (1.0, 0.5, 0.25)  # lam * c
 
 
-def one(n, path):
+def _best(fn):
+    """Least wall time of ``REPEATS`` calls of ``fn``."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def one(family, n, path):
     import resource
 
     import numpy as np
@@ -47,17 +63,18 @@ def one(n, path):
                                      hilbert_core, make_diagonal, Sign, solve)
 
     h = 1.0 / (n + 1)
-    a = build_operator(OperatorSpec("grad2d", (n, n), h, "zero")).matrix
+    a = build_operator(OperatorSpec(family, (n, n), h, "zero")).matrix
     hilbert_core._NORMAL_MIN_ENTRIES = 0 if path == "sparse" else 10**18
-    start = time.perf_counter()
     restricted = hilbert_core.restrict_operator(a)
-    restrict_s = time.perf_counter() - start
+    restrict_s = _best(lambda: hilbert_core._factor(a.matrix, restricted.tol))
     rng = np.random.default_rng(n)
     y = rng.standard_normal(a.rows)
-    start = time.perf_counter()
-    for _ in range(PROJECTIONS):
-        restricted.ran.project(y)
-    project_s = (time.perf_counter() - start) / PROJECTIONS
+
+    def projections():
+        for _ in range(PROJECTIONS):
+            restricted.ran.project(y)
+
+    project_s = _best(projections) / PROJECTIONS
     f = 52.0 / ((n + 1) * h) * rng.standard_normal(a.cols)
     relation = make_diagonal(1.0, [Sign()] * a.rows)
     start = time.perf_counter()
@@ -65,7 +82,8 @@ def one(n, path):
     solve_s = time.perf_counter() - start
     iterations = sol.diagnostics["n_iterations"]
     return {
-        "grid": n, "path": path, "class": type(restricted).__name__,
+        "family": family, "grid": n, "path": path,
+        "class": type(restricted).__name__,
         "shape": list(a.shape), "dense_entries": a.rows * a.cols,
         "restrict_s": restrict_s, "project_us": 1e6 * project_s,
         "dr_iterations": iterations, "solve_s": solve_s,
@@ -110,7 +128,7 @@ def dr_rows(n):
 
 def main():
     if sys.argv[1:2] == ["--one"]:
-        print(json.dumps(one(int(sys.argv[2]), sys.argv[3])))
+        print(json.dumps(one(sys.argv[2], int(sys.argv[3]), sys.argv[4])))
         return
     if sys.argv[1:2] == ["--dr-one"]:
         print(json.dumps(dr_rows(int(sys.argv[2]))))
@@ -121,8 +139,10 @@ def main():
     if sys.argv[1:2] == ["--dr"]:
         runs = [["--dr-one", str(n)] for n in DR_GRIDS]
     else:
-        runs = [["--one", str(n), path] for n in GRIDS for path in ("svd", "sparse")
-                if path == "sparse" or n <= SVD_MAX_GRID]
+        runs = [["--one", family, str(n), path]
+                for family, grids in GRIDS.items() for n in grids
+                for path in ("svd", "sparse")
+                if path == "sparse" or (family, n) not in SVD_SKIP]
     rows = []
     for args in runs:
         out = subprocess.run([sys.executable, __file__, *args],

@@ -390,9 +390,11 @@ def _check_monotonicity(problem, seed):
 
 def _perturbed_problem(problem, rng):
     """Second instance for the estimate checks, admissible by construction."""
-    restricted = restrict_operator(problem.A)
-    q1 = restricted.ran_adj.basis
-    df = q1 @ rng.standard_normal(q1.shape[1]) * 0.2
+    # the map the solve restricts, so that its factors are reused
+    restricted = restrict_operator(
+        problem.effective if problem.kind == DIRICHLET else problem.A)
+    ran_adj = restricted.ran_adj
+    df = ran_adj.from_coords(rng.standard_normal(ran_adj.dim)) * 0.2
     # the boundary-data bound needs the adjoint relation, so nonlinear
     # dirichlet pairs keep their data; the flux-data bound has no such limit
     u0 = problem.u0

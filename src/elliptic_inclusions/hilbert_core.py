@@ -5,11 +5,13 @@ complement of its kernel, mapped onto its range.  That restriction is
 invertible, and it powers a three-level norm scale: the graph norm |Ax|
 above, the plain Euclidean norm in the middle, and a dual norm below.
 The restriction is factored once per map, and no inverse is ever
-assembled.  Most maps are factored by a dense thin SVD, so dual-norm
+assembled.  Small maps are factored by a dense thin SVD, so dual-norm
 quantities and restricted inverses divide by its singular values in the
-singular bases.  A large, injective, well-conditioned map is factored
-instead by one sparse LU of its normal matrix A^T A (see
-``restrict_operator``).
+singular bases.  An injective, well-conditioned map of mid size or more is
+factored instead by one sparse LU of its normal matrix A^T A (see
+``restrict_operator``).  Either factorization also gives lambda_min(A^T A)
+on the kernel complement, from which the graph-norm embedding constant of
+A itself is read (``embedding_constant``).
 
 Matrices are held dense (``LinearMap``); sparse input is accepted and
 converted.  Only the normal-equation restriction works on CSR copies.
@@ -158,7 +160,8 @@ class Subspace(_Projector):
     @classmethod
     def _orthonormal(cls, basis, tol=DEFAULT_TOL) -> "Subspace":
         """Wrap columns that are orthonormal by construction (singular
-        vectors from LAPACK), without the Gram check of ``__init__``."""
+        vectors from LAPACK, distinct unit vectors), without the Gram check
+        of ``__init__``."""
         sub = cls.__new__(cls)
         sub._store(basis, tol)
         return sub
@@ -193,6 +196,10 @@ class Subspace(_Projector):
         if self.dim == 0:
             return np.zeros_like(x)
         return self._basis @ (self._basis.T @ x)
+
+    def from_coords(self, z) -> np.ndarray:
+        """The vector ``basis @ z`` with coordinates ``z`` in the basis."""
+        return self._basis @ z
 
     def complement(self) -> "Subspace":
         """Orthogonal complement within the ambient space."""
@@ -242,6 +249,9 @@ class _WholeSpace(Subspace):
 
     def project(self, x) -> np.ndarray:
         return _as_array_1d(x, self._n, "x").copy()
+
+    def from_coords(self, z) -> np.ndarray:
+        return np.array(z, dtype=float)
 
 
 class SobolevNormKind(enum.Enum):
@@ -329,6 +339,10 @@ class RestrictedOperator:
         """sqrt(<x, (A^T A)^+ x>) for x in the kernel complement."""
         return float(np.linalg.norm((self.ran_adj.basis.T @ x) / self.sv))
 
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of A^T A on the kernel complement."""
+        return float(self.sv[-1] ** 2)
+
     def svd_range_basis(self) -> np.ndarray:
         """The left singular vectors spanning the range (range coordinates)."""
         return self.ran.basis
@@ -397,6 +411,12 @@ class NormalRestriction:
     def dual_norm(self, x) -> float:
         return float(np.sqrt(max(float(x @ self.ran.lu.solve(x)), 0.0)))
 
+    def lambda_min(self) -> float:
+        """ARPACK's lambda_min(A^T A), not below the true one up to rounding:
+        it is the inverse of a Ritz value of (A^T A)^-1, which bounds that
+        operator's largest eigenvalue from below."""
+        return self.ran.lambda_min
+
     def svd_range_basis(self) -> np.ndarray:
         """The dense path's range basis, bit for bit (one thin SVD, cached)."""
         if self.ran.svd_basis is None:
@@ -408,11 +428,14 @@ class NormalRestriction:
 
 
 # Maps with fewer dense entries (rows * cols) keep the SVD, the reference
-# path, and its results bit for bit.  The range projection of a DR iteration
-# crosses over between grad2d zero 10x10 (22k entries) and 16x16 (139k); the
-# gate sits above that, where the sparse path wins several-fold (20x20, 336k
-# entries: 31 against 171 us per projection; BENCH_sparse_restriction.json).
-_NORMAL_MIN_ENTRIES = 300_000
+# path, and its results bit for bit.  From about 60k entries up the LU is
+# 3-8x cheaper to factor, and a DR iteration's range projection costs about
+# the same through either path (20-45 us up to 140k entries).  Below that
+# the two factorizations differ by less than 3x, while the dense projection
+# is up to 2.5x cheaper (grad2d zero 10x10, 22k entries: 11 against 27 us),
+# which a small map projected hundreds of times per factorization pays for
+# (BENCH_dirichlet_sparse.json).
+_NORMAL_MIN_ENTRIES = 60_000
 # The LU path needs lambda_min(G) >= _NORMAL_MIN_RATIO * (Gershgorin bound
 # of G).  Then cond(G) <= 1e4, so the normal-equation solves keep about 12
 # digits, well below the default tol, and sigma_min >= 1e-2 * sigma_max,
@@ -564,12 +587,17 @@ def embedding_constant(ctx, cmap) -> float:
 
     Solves the generalized eigenproblem (C^T C + I) x = lam A^T A x restricted
     to the kernel complement; the caller guarantees that C agrees with A
-    there (C composed with the domain embedding, where one applies).
+    there (C composed with the domain embedding, where one applies).  For
+    C = A itself (``cmap is ctx.full_map``) the eigenvalues are
+    1 + 1/lambda(A^T A), so L = sqrt(1 + 1/lambda_min) is read off the
+    restriction.
     """
     cmap = as_linear_map(cmap)
     r = ctx.rank
     if r == 0:
         return 0.0
+    if cmap is ctx.full_map:
+        return float(np.sqrt(1.0 + 1.0 / ctx.lambda_min()))
     q1 = ctx.ran_adj.basis
     cq = cmap.matrix @ q1
     aq = ctx.full_map.matrix @ q1

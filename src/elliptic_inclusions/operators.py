@@ -249,7 +249,8 @@ def operator_pair(spec: OperatorSpec):
     cols = _interior_columns(interior, components)
     basis = np.zeros((n_total, cols.size))
     basis[cols, np.arange(cols.size)] = 1.0
-    return small, big, Subspace(n_total, basis)
+    # distinct unit columns: orthonormal by construction, no Gram check
+    return small, big, Subspace._orthonormal(basis)
 
 
 def negative_adjoint(m) -> LinearMap:

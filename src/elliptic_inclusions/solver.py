@@ -491,15 +491,15 @@ def lipschitz_probe(template: Problem, pairs=100, rng_seed=0) -> float:
         raise InputError("pairs must be >= 1")
     rng = np.random.default_rng(rng_seed)
     restricted = restrict_operator(template.A)
-    q1 = restricted.ran_adj.basis
-    r = q1.shape[1]
+    ran_adj = restricted.ran_adj
+    r = ran_adj.dim
     if r == 0:
         return 0.0
     amat = template.A.matrix
     worst = 0.0
     for _ in range(pairs):
-        f1 = q1 @ rng.standard_normal(r)
-        f2 = q1 @ rng.standard_normal(r)
+        f1 = ran_adj.from_coords(rng.standard_normal(r))
+        f2 = ran_adj.from_coords(rng.standard_normal(r))
         den = sobolev_norm(restricted, SobolevNormKind.HM1_B, f1 - f2)
         if den < 1e-12:
             continue

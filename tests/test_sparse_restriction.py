@@ -32,6 +32,7 @@ from elliptic_inclusions import (
     b_star_inverse,
     build_operator,
     embedding_constant,
+    lipschitz_probe,
     make_diagonal,
     make_linear,
     operator_pair,
@@ -39,7 +40,7 @@ from elliptic_inclusions import (
     sobolev_norm,
     solve,
 )
-from elliptic_inclusions import hilbert_core, solver
+from elliptic_inclusions import cli, hilbert_core, solver
 from elliptic_inclusions.cli import main
 from helpers import random_operator
 
@@ -152,26 +153,107 @@ def test_relation_in_range_coordinates_agrees():
 
 def test_dirichlet_solve_agrees(no_size_gate):
     rng = np.random.default_rng(14)
+    for family in ("symgrad2d", "grad2d"):
+        small, big, inclusion = operator_pair(OperatorSpec(family, (5, 5), 0.25))
+        dim = big.matrix.rows
+        relation = make_linear(np.diag(rng.uniform(1.0, 2.0, dim))
+                               + 0.3 * np.diag(rng.uniform(-1, 1, dim - 1), 1))
+        f = rng.standard_normal(small.matrix.cols)
+        u0 = rng.standard_normal(big.matrix.cols)
+
+        def run():
+            problem = Problem("dirichlet", LinearMap(small.matrix.matrix), relation,
+                              f, C=LinearMap(big.matrix.matrix), inclusion=inclusion,
+                              u0=u0, tol=1e-12)
+            restricted = restrict_operator(problem.effective)
+            return (solve(problem), type(restricted),
+                    embedding_constant(restricted, problem.effective))
+
+        sparse, kind, l1_sparse = run()
+        assert kind is NormalRestriction, family
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hilbert_core, "_NORMAL_MIN_ENTRIES", 10**12)
+            dense, kind, l1_dense = run()
+        assert kind is RestrictedOperator, family
+        assert_close(sparse.u, dense.u)
+        assert_close(sparse.certificate.x, dense.certificate.x)
+        assert_close(sparse.certificate.y, dense.certificate.y)
+        assert abs(l1_sparse - l1_dense) <= 1e-12 * l1_dense, family
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_embedding_constant_is_read_off_the_restriction(name, monkeypatch):
+    rng = np.random.default_rng(18)
+    calls = []
+    eigh = hilbert_core.scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(hilbert_core.scipy.linalg, "eigh", counting_eigh)
+    for restricted in both_paths(MAPS[name](rng)):
+        a = restricted.full_map
+        del calls[:]
+        shortcut = embedding_constant(restricted, a)
+        assert not calls, type(restricted).__name__
+        # an equal map that is another object takes the generalized eigh
+        reference = embedding_constant(restricted, LinearMap(a.matrix))
+        assert len(calls) == 1
+        assert abs(shortcut - reference) <= 1e-12 * reference
+        gram = a.matrix.T @ a.matrix
+        exact = np.sqrt(eigh(gram + np.eye(a.cols), gram, eigvals_only=True)[-1])
+        assert abs(shortcut - exact) <= 1e-12 * exact
+        # any other C keeps the generalized eigenproblem
+        cmap = LinearMap(np.vstack([a.matrix, rng.standard_normal((3, a.cols))]))
+        del calls[:]
+        assert embedding_constant(restricted, cmap) > shortcut
+        assert len(calls) == 1
+
+
+def test_benchmark_shapes_take_the_gated_path():
+    spec = OperatorSpec("symgrad2d", (14, 14), 1.0 / 13)
+    small, big, inclusion = operator_pair(spec)
+    free_grad = build_operator(OperatorSpec("grad2d", (14, 14), 1.0)).matrix.matrix
+    cases = {  # shape: (entries, class, kernel dimension)
+        (220, 100): (zero_boundary("grad2d", (10, 10)), RestrictedOperator, 0),
+        (480, 288): (small.matrix.matrix, NormalRestriction, 0),
+        (533, 288): (big.matrix.matrix @ inclusion.basis, NormalRestriction, 0),
+        (1200, 576): (zero_boundary("grad2d", (24, 24)), NormalRestriction, 0),
+        # free maps are large enough to be tried, and their kernel rejects them
+        (364, 196): (free_grad, RestrictedOperator, 1),
+        (533, 392): (big.matrix.matrix, RestrictedOperator, 3),
+    }
+    for shape, (entries, kind, ker_dim) in cases.items():
+        assert entries.shape == shape
+        restricted = restrict_operator(LinearMap(entries))
+        assert type(restricted) is kind, shape
+        assert restricted.ker.dim == ker_dim, shape
+
+
+def test_sparse_path_builds_no_identity_basis(no_size_gate):
+    rng = np.random.default_rng(19)
+    a = LinearMap(zero_boundary("grad2d", (5, 4)))
+    template = Problem("homogeneous", a, make_diagonal(1.0, [Power(3.0)] * a.rows),
+                       np.zeros(a.cols))
+    assert lipschitz_probe(template, pairs=3) > 0.0
+    whole = restrict_operator(a).ran_adj
+    assert whole._basis is None
+    z = rng.standard_normal(a.cols)
+    x = whole.from_coords(z)
+    assert np.array_equal(x, z) and x is not z and whole._basis is None
+    # nor does a boundary-data solve with its estimate check
     small, big, inclusion = operator_pair(OperatorSpec("symgrad2d", (5, 5), 0.25))
-    dim = big.matrix.rows
-    relation = make_linear(np.diag(rng.uniform(1.0, 2.0, dim))
-                           + 0.3 * np.diag(rng.uniform(-1, 1, dim - 1), 1))
-    f = rng.standard_normal(small.matrix.cols)
-    u0 = rng.standard_normal(big.matrix.cols)
-
-    def run():
-        problem = Problem("dirichlet", LinearMap(small.matrix.matrix), relation, f,
-                          C=LinearMap(big.matrix.matrix), inclusion=inclusion,
-                          u0=u0, tol=1e-12)
-        return solve(problem).u, type(restrict_operator(problem.effective))
-
-    u_sparse, kind = run()
-    assert kind is NormalRestriction
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hilbert_core, "_NORMAL_MIN_ENTRIES", 10**12)
-        u_dense, kind = run()
-    assert kind is RestrictedOperator
-    assert_close(u_sparse, u_dense)
+    relation = make_linear(2.0 * np.eye(big.matrix.rows))
+    problem = Problem("dirichlet", small.matrix, relation,
+                      rng.standard_normal(small.matrix.cols), C=big.matrix,
+                      inclusion=inclusion, u0=rng.standard_normal(big.matrix.cols))
+    check = cli._check_estimate(problem, solve(problem), 3, "dirichlet_estimate")
+    assert check["pass"]
+    assert restrict_operator(problem.effective).ran_adj._basis is None
+    # a stored basis maps coordinates by one product, bit for bit
+    line = Subspace(3, np.array([[0.6], [0.8], [0.0]]))
+    assert np.array_equal(line.from_coords(np.array([2.0])), line.basis @ [2.0])
 
 
 def test_fallbacks_take_the_svd_path(no_size_gate, caplog):
