@@ -90,14 +90,6 @@ class LinearMap:
     def shape(self):
         return self._a.shape
 
-    @property
-    def T(self) -> "LinearMap":
-        return LinearMap(self._a.T)
-
-    def __call__(self, x) -> np.ndarray:
-        x = _as_array_1d(x, self.cols, "input vector")
-        return self._a @ x
-
     def __repr__(self):
         return f"LinearMap({self.rows}x{self.cols})"
 

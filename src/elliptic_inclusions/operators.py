@@ -29,7 +29,6 @@ ZERO_BOUNDARY = "zero"
 FREE = "free"
 
 _FAMILIES = (GRAD_1D, GRAD_2D, SYMGRAD_2D, CURL_3D, CUSTOM)
-_PAIR_FAMILIES = (GRAD_1D, GRAD_2D, SYMGRAD_2D)
 _FAMILY_NDIM = {GRAD_1D: 1, GRAD_2D: 2, SYMGRAD_2D: 2, CURL_3D: 3}
 
 
@@ -182,9 +181,8 @@ def _interior_columns(shape, components):
     return np.concatenate(cols)
 
 
-def _zero_boundary_from_free(shape, h, free_builder, components):
-    ext_shape = tuple(s + 2 for s in shape)
-    full, weights = free_builder(ext_shape, h)
+def _zero_boundary_from_free(full, weights, shape, components):
+    """Zero-boundary operator on ``shape`` from the free one on its ghost grid."""
     restricted = full[:, _interior_columns(shape, components)].tocsr()
     # a row stays when it holds a nonzero value; stored zeros do not count
     keep = np.zeros(restricted.shape[0], dtype=bool)
@@ -192,6 +190,11 @@ def _zero_boundary_from_free(shape, h, free_builder, components):
          [restricted.data != 0.0]] = True
     weights = weights[keep] if weights is not None else None
     return restricted[np.flatnonzero(keep)], weights
+
+
+# free builder and unknowns per grid node of the families with pairs
+_PAIR_BUILDERS = {GRAD_1D: (_free_gradient, 1), GRAD_2D: (_free_gradient, 1),
+                  SYMGRAD_2D: (_free_symgrad_2d, 2)}
 
 
 def build_operator(spec: OperatorSpec) -> BuiltOperator:
@@ -203,24 +206,19 @@ def build_operator(spec: OperatorSpec) -> BuiltOperator:
     if spec.family == CUSTOM:
         matrix = load_matrix_market(spec.path)
         return BuiltOperator(matrix)
-
-    if spec.family in (GRAD_1D, GRAD_2D):
-        builder, components = _free_gradient, 1
-    elif spec.family == SYMGRAD_2D:
-        builder, components = _free_symgrad_2d, 2
-    elif spec.family == CURL_3D:
+    if spec.family == CURL_3D:
         if spec.boundary == ZERO_BOUNDARY:
             raise ConstructionError("only the free curl variant is built")
         matrix, _ = _free_curl_3d(spec.shape, spec.h)
         return BuiltOperator(LinearMap(matrix))
-    else:  # pragma: no cover - guarded by OperatorSpec
-        raise ConstructionError(f"unknown operator family {spec.family!r}")
 
+    builder, components = _PAIR_BUILDERS[spec.family]
     if spec.boundary == FREE:
         matrix, weights = builder(spec.shape, spec.h)
     else:
-        matrix, weights = _zero_boundary_from_free(spec.shape, spec.h, builder,
-                                                   components)
+        ext_shape = tuple(s + 2 for s in spec.shape)
+        matrix, weights = _zero_boundary_from_free(*builder(ext_shape, spec.h),
+                                                   spec.shape, components)
     return BuiltOperator(LinearMap(matrix), voigt_weights=weights)
 
 
@@ -235,16 +233,20 @@ def operator_pair(spec: OperatorSpec):
     The orientation is the caller's: boundary-data problems of the first kind
     use (small, big), flux-data problems use (big, small).
     """
-    if spec.family not in _PAIR_FAMILIES:
+    if spec.family not in _PAIR_BUILDERS:
         raise ConstructionError(
-            f"operator pairs exist for {_PAIR_FAMILIES}, not {spec.family!r}"
+            f"operator pairs exist for {tuple(_PAIR_BUILDERS)}, not {spec.family!r}"
         )
     if any(s < 3 for s in spec.shape):
         raise ConstructionError("pair grids need every extent >= 3")
     interior = tuple(s - 2 for s in spec.shape)
-    small = build_operator(OperatorSpec(spec.family, interior, spec.h, ZERO_BOUNDARY))
-    big = build_operator(OperatorSpec(spec.family, spec.shape, spec.h, FREE))
-    components = 2 if spec.family == SYMGRAD_2D else 1
+    builder, components = _PAIR_BUILDERS[spec.family]
+    # the whole grid is the interior's ghost grid: one free build serves both
+    free, weights = builder(spec.shape, spec.h)
+    matrix, small_weights = _zero_boundary_from_free(free, weights, interior,
+                                                     components)
+    small = BuiltOperator(LinearMap(matrix), voigt_weights=small_weights)
+    big = BuiltOperator(LinearMap(free), voigt_weights=weights)
     n_total = components * int(np.prod(spec.shape))
     cols = _interior_columns(interior, components)
     basis = np.zeros((n_total, cols.size))

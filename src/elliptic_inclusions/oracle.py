@@ -4,8 +4,10 @@ These deliberately avoid the production code paths: branch enumeration
 solves one small linear system per piecewise-affine branch assignment,
 the energy oracle minimizes the variational objective by an alternating
 splitting with its own factorizations and scalar proximal maps, and the
-linear oracle is a dense reduced solve.  Agreement between any of them and
-the pipeline is the point.
+linear oracle is a dense direct solve.  Agreement between any of them and
+the pipeline is the point.  All three take ran(A^T) from one column-pivoted
+QR of A^T (``_domain``), not an SVD: the rank counts |R_ii| > max(m, n) * eps
+* |R_00|, SciPy ``orth``'s rule with |R_ii| for the singular values.
 """
 
 from __future__ import annotations
@@ -28,6 +30,16 @@ def _as_matrix(a):
     if isinstance(a, LinearMap):
         return a.matrix
     return np.asarray(a, dtype=float)
+
+
+def _domain(mat):
+    """Orthonormal basis of ran(mat^T), and whether mat has full column rank."""
+    m, n = mat.shape
+    q, r, _ = scipy.linalg.qr(mat.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))  # non-increasing under column pivoting
+    cutoff = max(m, n) * np.finfo(float).eps * diag.max(initial=0.0)
+    rank = int(np.count_nonzero(diag > cutoff))
+    return q[:, :rank], rank == n
 
 
 def _pieces(graph):
@@ -87,7 +99,7 @@ def active_set_solve(a, c, graphs, f, input_shift=None, output_shift=None,
     p = np.zeros(m) if input_shift is None else np.asarray(input_shift, dtype=float)
     q = np.zeros(m) if output_shift is None else np.asarray(output_shift, dtype=float)
 
-    q_dom = scipy.linalg.orth(mat.T)
+    q_dom = _domain(mat)[0]
     r = q_dom.shape[1]
     if np.linalg.norm(f - q_dom @ (q_dom.T @ f)) > 1e-8 * max(1.0, np.linalg.norm(f)):
         raise OracleFailure("f has a kernel component; no consistent assignment exists")
@@ -234,7 +246,7 @@ def convex_min_solve(a, c, graphs, f, iters=1_000_000, tol=1e-12):
         raise InputError("c must be positive")
     f = np.asarray(f, dtype=float)
 
-    q_dom = scipy.linalg.orth(mat.T)
+    q_dom = _domain(mat)[0]
     r = q_dom.shape[1]
     if r == 0:
         return np.zeros(mat.shape[1])
@@ -270,17 +282,18 @@ def convex_min_solve(a, c, graphs, f, iters=1_000_000, tol=1e-12):
 
 
 def linear_direct_solve(a, m, f):
-    """Dense reduced solve for a linear relation: (AQ)^T M (AQ) x = Q^T f."""
+    """Dense solve of A^T M A u = f, reduced to (AQ)^T M (AQ) x = Q^T f, u = Q x,
+    when A has a kernel."""
     mat = _as_matrix(a)
     rel = _as_matrix(m)
     f = np.asarray(f, dtype=float)
-    q_dom = scipy.linalg.orth(mat.T)
+    q_dom, full_rank = _domain(mat)
     if q_dom.shape[1] == 0:
         return np.zeros(mat.shape[1])
-    aq = mat @ q_dom
-    k = aq.T @ rel @ aq
+    if not full_rank:
+        mat, f = mat @ q_dom, q_dom.T @ f
     try:
-        x = scipy.linalg.solve(k, q_dom.T @ f)
+        x = scipy.linalg.solve(mat.T @ (rel @ mat), f)
     except scipy.linalg.LinAlgError as exc:
         raise OracleFailure(f"reduced system is singular: {exc}") from exc
-    return q_dom @ x
+    return x if full_rank else q_dom @ x

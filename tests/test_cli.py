@@ -467,3 +467,66 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "False"
+
+
+def _diagonal_config(graphs, shape=6, **extra):
+    # grad1d zero on `shape` nodes has shape + 1 rows, one graph per row
+    cfg = {
+        "schema_version": 1,
+        "kind": "homogeneous",
+        "operator": {"family": "grad1d", "shape": [shape], "h": 1.0,
+                     "boundary": "zero"},
+        "relation": {"type": "diagonal", "c": 1.0, "graphs": graphs},
+        "f": [0.9, -0.4, 1.1, 0.3, -0.7, 0.2][:shape],
+        "checks": [],
+    }
+    cfg.update(extra)
+    return cfg
+
+
+def test_every_graph_kind_parses(tmp_path):
+    from elliptic_inclusions import Clamp, Linear, Power, Relay, Sign
+    from elliptic_inclusions.cli import parse_config
+
+    graphs = [
+        {"kind": "linear", "slope": 0.5}, {"kind": "linear"},
+        {"kind": "sign"}, {"kind": "power", "exponent": 3},
+        {"kind": "clamp", "lo": -0.5, "hi": 0.25},
+        {"kind": "relay", "height": 2.0}, {"kind": "relay"},
+    ]
+    problem, _ = parse_config(write_config(tmp_path, _diagonal_config(graphs)))
+    assert list(problem.relation.descriptor.graphs) == [
+        Linear(0.5), Linear(1.0), Sign(), Power(3.0), Clamp(-0.5, 0.25),
+        Relay(2.0), Relay(1.0),
+    ]
+
+
+@pytest.mark.parametrize("graph", [
+    {"kind": "clamp", "lo": -1.0}, {"kind": "clamp", "lo": 1.0, "hi": -1.0},
+    {"kind": "relay", "height": "tall"}, {"kind": "linear", "slope": [1.0]},
+])
+def test_bad_graph_parameters_are_a_config_error(tmp_path, graph):
+    cfg = _diagonal_config([{"kind": "sign"}, graph] + [{"kind": "sign"}] * 5)
+    assert _config_error(tmp_path, cfg)["field"] == "relation.graphs[1]"
+
+
+def test_oracle_check_with_clamp_and_relay_graphs(tmp_path, monkeypatch):
+    from elliptic_inclusions import oracle
+
+    domains = []
+    real_domain = oracle._domain
+    monkeypatch.setattr(oracle, "_domain",
+                        lambda mat: domains.append(mat.shape) or real_domain(mat))
+    graphs = [{"kind": "clamp", "lo": -0.5, "hi": 0.5}, {"kind": "relay"},
+              {"kind": "sign"}, {"kind": "relay", "height": 0.5},
+              {"kind": "clamp", "lo": -0.2, "hi": 1.0}]
+    path = write_config(tmp_path, _diagonal_config(graphs, shape=4,
+                                                   checks=["certificate"]))
+    out = tmp_path / "report.json"
+    assert main(["oracle-check", "--config", str(path), "--report", str(out)]) == 0
+    data = json.loads(out.read_bytes())
+    assert data["pass"]
+    (check,) = data["checks"]
+    assert check["name"] == "oracle" and check["pass"]
+    assert check["oracle_delta"] <= 1e-8
+    assert domains == [(5, 4)]  # branch enumeration on the 5 x 4 map

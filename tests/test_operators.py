@@ -243,7 +243,32 @@ def test_zero_boundary_drops_rows_holding_only_stored_zeros():
         vals = np.array([1.0, 0.0, 5.0, -2.0])
         return scipy.sparse.csr_array((vals, (rows, cols)), shape=(4, 9)), None
 
-    matrix, _ = operators._zero_boundary_from_free((1, 1), 1.0, free_builder, 1)
+    matrix, _ = operators._zero_boundary_from_free(*free_builder((3, 3), 1.0),
+                                                   (1, 1), 1)
     assert np.array_equal(matrix.toarray(), np.array([[1.0], [-2.0]]))
     reference, _ = _dense_zero_boundary((1, 1), 1.0, free_builder, 1)
     assert np.array_equal(matrix.toarray(), reference)
+
+
+@pytest.mark.parametrize("family,shape", [
+    ("grad1d", (9,)), ("grad2d", (7, 7)), ("grad2d", (24, 24)),
+    ("grad2d", (3, 5)), ("symgrad2d", (14, 14)), ("symgrad2d", (4, 6)),
+])
+def test_operator_pair_matches_two_separate_builds_bitwise(family, shape):
+    h = 1.0 / (shape[0] - 1)
+    small, big, inclusion = operator_pair(OperatorSpec(family, shape, h))
+    interior = tuple(s - 2 for s in shape)
+    ref_small = build_operator(OperatorSpec(family, interior, h, "zero"))
+    ref_big = build_operator(OperatorSpec(family, shape, h, "free"))
+    for built, ref in ((small, ref_small), (big, ref_big)):
+        assert built.matrix.shape == ref.matrix.shape
+        assert built.matrix.matrix.tobytes() == ref.matrix.matrix.tobytes()
+        if ref.voigt_weights is None:
+            assert built.voigt_weights is None
+        else:
+            assert built.voigt_weights.tobytes() == ref.voigt_weights.tobytes()
+    components = 2 if family == "symgrad2d" else 1
+    basis = np.zeros((components * int(np.prod(shape)), small.matrix.cols))
+    cols = operators._interior_columns(interior, components)
+    basis[cols, np.arange(cols.size)] = 1.0
+    assert inclusion.basis.tobytes() == basis.tobytes()

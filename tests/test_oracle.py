@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from elliptic_inclusions import (
     CapabilityError,
@@ -13,13 +14,17 @@ from elliptic_inclusions import (
     Relay,
     Sign,
 )
+from elliptic_inclusions.operators import OperatorSpec, build_operator
 from elliptic_inclusions.oracle import (
+    _domain,
     active_set_solve,
     convex_min_solve,
     energy_value,
     linear_direct_solve,
 )
-from helpers import DIRICHLET_GRAD_3, random_operator
+from helpers import DIRICHLET_GRAD_3, random_operator, random_pd_matrix
+
+EPS = np.finfo(float).eps
 
 
 def test_active_set_linear_graphs_reduce_to_least_squares():
@@ -173,3 +178,99 @@ def test_tri_oracle_agreement():
         assert np.linalg.norm(u1 - u2) < 1e-6
         assert np.linalg.norm(u1 - u3) < 1e-6
         assert np.linalg.norm(u2 - u3) < 1e-6
+
+
+def _svd_rank(a):
+    """The rank SciPy's orth (an SVD) gives ran(a^T)."""
+    return scipy.linalg.orth(a.T).shape[1]
+
+
+def _straddling_map(rng, rows, cols, spread):
+    """Random map with sigma_max = 1 and the other singular values spread
+    log-uniformly over a factor ``spread`` around the rank cutoff."""
+    k = min(rows, cols)
+    cutoff = max(rows, cols) * EPS
+    sv = np.sort(np.concatenate(
+        [[1.0], cutoff * spread ** rng.uniform(-1.0, 1.0, k - 1)]))[::-1]
+    u = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, k)))[0]
+    return (u * sv) @ v.T
+
+
+def test_domain_rank_matches_the_svd_rank_away_from_the_cutoff():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        rows, cols = (int(x) for x in rng.integers(1, 9, size=2))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        # exact rank, nonzero singular values at least 1e3 above the cutoff
+        smin = 1e3 * max(rows, cols) * EPS
+        a = random_operator(rng, rows, cols, rank, smin=smin, smax=1.0)
+        q, full = _domain(a)
+        assert q.shape == (cols, rank) == (cols, _svd_rank(a))
+        assert full == (rank == cols)
+        assert np.allclose(q.T @ q, np.eye(rank), atol=1e-12)
+        if rank:  # the basis spans ran(a^T): projecting the rows changes nothing
+            assert np.allclose(a - (a @ q) @ q.T, 0.0, atol=1e-12)
+
+
+def test_domain_rank_straddling_the_cutoff_stays_inside_the_svd_band():
+    # the two rules may differ only on singular values within a small factor
+    # of max(m, n) * eps * sigma_max; 4 was the widest band seen in 20,000
+    # such draws, so 10 leaves room
+    rng = np.random.default_rng(9)
+    differ = 0
+    for _ in range(400):
+        rows, cols = (int(x) for x in rng.integers(2, 7, size=2))
+        a = _straddling_map(rng, rows, cols, spread=1e3)
+        s = np.linalg.svd(a, compute_uv=False)
+        cutoff = max(rows, cols) * EPS * s[0]
+        rank = _domain(a)[0].shape[1]
+        assert np.sum(s > 10.0 * cutoff) <= rank <= np.sum(s > cutoff / 10.0)
+        differ += rank != _svd_rank(a)
+    assert differ > 0  # the band is real; the cases below pin two of them
+
+
+def test_domain_rank_where_the_rules_disagree_on_a_random_map():
+    # a straddling draw: sigma_3 is 0.54x the cutoff, |R_33| 1.95x, so the SVD
+    # drops a direction that the oracle keeps
+    a = np.array([
+        [0.12700834055389779, -0.2829893509136569, -0.4777993961013553],
+        [0.10464804648044622, -0.23316801572819473, -0.3936810227854646],
+        [0.11113660306687392, -0.24762527427320583, -0.4180906671052428],
+        [-0.10137079870984114, 0.22586592662647645, 0.3813521710042393],
+    ])
+    assert _svd_rank(a) == 2
+    q, full = _domain(a)
+    assert q.shape[1] == 3 and full
+
+
+def test_domain_rank_where_the_rules_disagree_on_the_kahan_matrix():
+    # Kahan's matrix (columns scaled by (1 - 1e-3)^j so pivoting keeps their
+    # order) hides a singular value 300x below the cutoff from pivoted QR:
+    # |R_nn| stays 1e9x above it, so the oracle takes the full-rank path
+    n, c = 60, 0.55
+    scale = np.sqrt(1.0 - c * c) ** np.arange(n)
+    kahan = scale[:, None] * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    a = (kahan * (1.0 - 1e-3) ** np.arange(n)).T  # _domain factors a^T
+    assert _svd_rank(a) == n - 1
+    q, full = _domain(a)
+    assert q.shape[1] == n and full
+
+
+def test_linear_direct_on_a_rank_deficient_map_matches_pinv():
+    rng = np.random.default_rng(10)
+    a = build_operator(OperatorSpec("grad1d", (7,), 0.5, "free")).matrix.matrix
+    m = random_pd_matrix(rng, a.shape[0])  # nonsymmetric, monotone
+    for _ in range(5):
+        f = rng.standard_normal(a.shape[1])
+        f -= f.mean()  # admissible: orthogonal to the constants
+        u = linear_direct_solve(a, m, f)
+        assert abs(u.sum()) < 1e-12  # in the kernel complement
+        u_ref = np.linalg.pinv(a.T @ m @ a) @ f
+        assert np.allclose(u, u_ref, rtol=0.0, atol=1e-10)
+        assert np.allclose(a.T @ (m @ (a @ u)), f, atol=1e-10)
+
+
+def test_linear_direct_on_the_zero_map_returns_zeros():
+    u = linear_direct_solve(np.zeros((3, 4)), np.eye(3), np.ones(4))
+    assert np.array_equal(u, np.zeros(4))
