@@ -13,6 +13,7 @@ QR of A^T (``_domain``), not an SVD: the rank counts |R_ii| > max(m, n) * eps
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -33,13 +34,16 @@ def _as_matrix(a):
 
 
 def _domain(mat):
-    """Orthonormal basis of ran(mat^T), and whether mat has full column rank."""
+    """Orthonormal basis Q of ran(mat^T), and mat @ Q read off the QR:
+    mat^T[:, piv] = Q R gives mat[piv] @ Q[:, :rank] = R[:rank]^T."""
     m, n = mat.shape
-    q, r, _ = scipy.linalg.qr(mat.T, mode="economic", pivoting=True)
+    q, r, piv = scipy.linalg.qr(mat.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))  # non-increasing under column pivoting
     cutoff = max(m, n) * np.finfo(float).eps * diag.max(initial=0.0)
     rank = int(np.count_nonzero(diag > cutoff))
-    return q[:, :rank], rank == n
+    aq = np.empty((m, rank))
+    aq[piv] = r[:rank].T
+    return q[:, :rank], aq
 
 
 def _pieces(graph):
@@ -99,11 +103,10 @@ def active_set_solve(a, c, graphs, f, input_shift=None, output_shift=None,
     p = np.zeros(m) if input_shift is None else np.asarray(input_shift, dtype=float)
     q = np.zeros(m) if output_shift is None else np.asarray(output_shift, dtype=float)
 
-    q_dom = _domain(mat)[0]
+    q_dom, aq = _domain(mat)  # aq = A Q, m x r
     r = q_dom.shape[1]
     if np.linalg.norm(f - q_dom @ (q_dom.T @ f)) > 1e-8 * max(1.0, np.linalg.norm(f)):
         raise OracleFailure("f has a kernel component; no consistent assignment exists")
-    aq = mat @ q_dom  # m x r
 
     piece_lists = [_pieces(g) for g in graphs]
     solutions = []
@@ -246,11 +249,10 @@ def convex_min_solve(a, c, graphs, f, iters=1_000_000, tol=1e-12):
         raise InputError("c must be positive")
     f = np.asarray(f, dtype=float)
 
-    q_dom = _domain(mat)[0]
+    q_dom, aq = _domain(mat)
     r = q_dom.shape[1]
     if r == 0:
         return np.zeros(mat.shape[1])
-    aq = mat @ q_dom
     f_red = q_dom.T @ f
     sv = np.linalg.svd(aq, compute_uv=False)
     rho = c * float(sv[0] * sv[-1])
@@ -282,18 +284,19 @@ def convex_min_solve(a, c, graphs, f, iters=1_000_000, tol=1e-12):
 
 
 def linear_direct_solve(a, m, f):
-    """Dense solve of A^T M A u = f, reduced to (AQ)^T M (AQ) x = Q^T f, u = Q x,
-    when A has a kernel."""
+    """Dense solve of A^T M A u = f on the kernel complement: (AQ)^T M (AQ) x
+    = Q^T f, u = Q x.  A system too ill-conditioned to solve accurately
+    raises ``OracleFailure`` rather than returning an unreliable reference."""
     mat = _as_matrix(a)
     rel = _as_matrix(m)
     f = np.asarray(f, dtype=float)
-    q_dom, full_rank = _domain(mat)
+    q_dom, aq = _domain(mat)
     if q_dom.shape[1] == 0:
         return np.zeros(mat.shape[1])
-    if not full_rank:
-        mat, f = mat @ q_dom, q_dom.T @ f
     try:
-        x = scipy.linalg.solve(mat.T @ (rel @ mat), f)
-    except scipy.linalg.LinAlgError as exc:
-        raise OracleFailure(f"reduced system is singular: {exc}") from exc
-    return x if full_rank else q_dom @ x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            x = scipy.linalg.solve(aq.T @ (rel @ aq), q_dom.T @ f)
+    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
+        raise OracleFailure(f"reduced system is ill-conditioned: {exc}") from exc
+    return q_dom @ x

@@ -205,10 +205,11 @@ def test_domain_rank_matches_the_svd_rank_away_from_the_cutoff():
         # exact rank, nonzero singular values at least 1e3 above the cutoff
         smin = 1e3 * max(rows, cols) * EPS
         a = random_operator(rng, rows, cols, rank, smin=smin, smax=1.0)
-        q, full = _domain(a)
+        q, aq = _domain(a)
         assert q.shape == (cols, rank) == (cols, _svd_rank(a))
-        assert full == (rank == cols)
         assert np.allclose(q.T @ q, np.eye(rank), atol=1e-12)
+        assert aq.shape == (rows, rank)  # A Q read off R
+        assert np.allclose(aq, a @ q, rtol=0.0, atol=1e-14)
         if rank:  # the basis spans ran(a^T): projecting the rows changes nothing
             assert np.allclose(a - (a @ q) @ q.T, 0.0, atol=1e-12)
 
@@ -240,21 +241,29 @@ def test_domain_rank_where_the_rules_disagree_on_a_random_map():
         [-0.10137079870984114, 0.22586592662647645, 0.3813521710042393],
     ])
     assert _svd_rank(a) == 2
-    q, full = _domain(a)
-    assert q.shape[1] == 3 and full
+    assert _domain(a)[0].shape[1] == 3
+    # the kept direction makes the normal system singular to working
+    # precision: the linear oracle refuses it instead of returning noise
+    with pytest.raises(OracleFailure, match="ill-conditioned"):
+        linear_direct_solve(a, np.eye(4), np.ones(3))
 
 
 def test_domain_rank_where_the_rules_disagree_on_the_kahan_matrix():
     # Kahan's matrix (columns scaled by (1 - 1e-3)^j so pivoting keeps their
     # order) hides a singular value 300x below the cutoff from pivoted QR:
-    # |R_nn| stays 1e9x above it, so the oracle takes the full-rank path
+    # |R_nn| stays 1e9x above it, so the oracle keeps all n directions
     n, c = 60, 0.55
     scale = np.sqrt(1.0 - c * c) ** np.arange(n)
     kahan = scale[:, None] * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
     a = (kahan * (1.0 - 1e-3) ** np.arange(n)).T  # _domain factors a^T
     assert _svd_rank(a) == n - 1
-    q, full = _domain(a)
-    assert q.shape[1] == n and full
+    assert _domain(a)[0].shape[1] == n
+    # the SVD rank would give the pseudo-inverse solution; with all n kept,
+    # the normal system's condition number is near (300 / (n eps))^2, so the
+    # linear oracle refuses it
+    f = np.random.default_rng(11).standard_normal(n)
+    with pytest.raises(OracleFailure, match="ill-conditioned"):
+        linear_direct_solve(a, np.eye(n), f)
 
 
 def test_linear_direct_on_a_rank_deficient_map_matches_pinv():
