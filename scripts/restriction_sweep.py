@@ -66,7 +66,7 @@ def one(family, n, path):
     a = build_operator(OperatorSpec(family, (n, n), h, "zero")).matrix
     hilbert_core._NORMAL_MIN_ENTRIES = 0 if path == "sparse" else 10**18
     restricted = hilbert_core.restrict_operator(a)
-    restrict_s = _best(lambda: hilbert_core._factor(a.matrix, restricted.tol))
+    restrict_s = _best(lambda: hilbert_core._factor(a.matrix))
     rng = np.random.default_rng(n)
     y = rng.standard_normal(a.rows)
 

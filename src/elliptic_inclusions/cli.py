@@ -167,11 +167,11 @@ def _parse_relation(cfg, dim, fieldpath, base_dir):
         graphs = cfg.get("graphs")
         if graphs is None:
             _fail("diagonal relations need 'graphs'", f"{fieldpath}.graphs")
-        if isinstance(graphs, dict):
-            graphs = [graphs] * dim
-        parsed = [
-            _parse_graph(g, f"{fieldpath}.graphs[{i}]") for i, g in enumerate(graphs)
-        ]
+        if isinstance(graphs, dict):  # one graph for every coordinate: parse it once
+            parsed = [_parse_graph(graphs, f"{fieldpath}.graphs")] * dim
+        else:
+            parsed = [_parse_graph(g, f"{fieldpath}.graphs[{i}]")
+                      for i, g in enumerate(graphs)]
         if len(parsed) != dim:
             _fail(
                 f"need {dim} graphs (one per relation coordinate), got {len(parsed)}",

@@ -4,8 +4,9 @@ The central object is the restriction of a matrix to the orthogonal
 complement of its kernel, mapped onto its range.  That restriction is
 invertible, and it powers a three-level norm scale: the graph norm |Ax|
 above, the plain Euclidean norm in the middle, and a dual norm below.
-The restriction is factored once per map, and no inverse is ever
-assembled.  Small maps are factored by a dense thin SVD, so dual-norm
+Every rank decision follows one relative rule (``RANK_TOL``), which no
+caller sets.  The restriction is factored once per map, and no inverse is
+ever assembled.  Small maps are factored by a dense thin SVD, so dual-norm
 quantities and restricted inverses divide by its singular values in the
 singular bases.  An injective, well-conditioned map of mid size or more is
 factored instead by one sparse LU of its normal matrix A^T A (see
@@ -30,7 +31,9 @@ import scipy.sparse
 
 from .errors import DomainError, InputError
 
-DEFAULT_TOL = 1e-10
+# The one rank rule: singular values below RANK_TOL * sigma_max count as zero.
+# It also bounds the off-subspace component the solve methods accept.
+RANK_TOL = 1e-10
 
 _log = logging.getLogger(__name__)
 
@@ -49,12 +52,12 @@ class LinearMap:
 
     Accepts dense array-likes or scipy sparse matrices; entries must be
     finite and real.  Instances are immutable, so each caches the factors
-    of its restriction (see ``restrict_operator``), keyed by ``tol``, and
-    its checked compositions with inclusion subspaces (see
+    of its restriction in ``_factors`` (see ``restrict_operator``), and its
+    checked compositions with inclusion subspaces in ``_composed`` (see
     ``solver._checked_restriction``), keyed by the restricted map and subspace.
     """
 
-    __slots__ = ("_a", "_restrictions")
+    __slots__ = ("_a", "_factors", "_composed")
 
     def __init__(self, entries):
         owned = scipy.sparse.issparse(entries)  # densified here: no caller holds it
@@ -72,7 +75,8 @@ class LinearMap:
             a = a.copy()
         a.flags.writeable = False
         self._a = a
-        self._restrictions = {}
+        self._factors = None
+        self._composed = {}
 
     @property
     def matrix(self) -> np.ndarray:
@@ -123,11 +127,9 @@ class _Projector:
 class Subspace(_Projector):
     """Subspace of R^n stored as an (n, k) matrix with orthonormal columns."""
 
-    __slots__ = ("_basis", "_tol")
+    __slots__ = ("_basis",)
 
-    def __init__(self, ambient_dim, basis, tol=DEFAULT_TOL):
-        if tol < 0:
-            raise InputError("tol must be nonnegative")
+    def __init__(self, ambient_dim, basis):
         b = np.asarray(basis, dtype=float)
         if b.size == 0:
             b = b.reshape(ambient_dim, 0)
@@ -141,21 +143,20 @@ class Subspace(_Projector):
             gram = b.T @ b
             if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-12:
                 raise InputError("basis columns must be orthonormal (to 1e-12)")
-        self._store(b, tol)
+        self._store(b)
 
-    def _store(self, b, tol):
+    def _store(self, b):
         b = b.copy()
         b.flags.writeable = False
         self._basis = b
-        self._tol = float(tol)
 
     @classmethod
-    def _orthonormal(cls, basis, tol=DEFAULT_TOL) -> "Subspace":
+    def _orthonormal(cls, basis) -> "Subspace":
         """Wrap columns that are orthonormal by construction (singular
         vectors from LAPACK, distinct unit vectors), without the Gram check
         of ``__init__``."""
         sub = cls.__new__(cls)
-        sub._store(basis, tol)
+        sub._store(basis)
         return sub
 
     @classmethod
@@ -178,10 +179,6 @@ class Subspace(_Projector):
     def dim(self) -> int:
         return self._basis.shape[1]
 
-    @property
-    def tol(self) -> float:
-        return self._tol
-
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of ``x`` onto the subspace."""
         x = _as_array_1d(x, self.ambient_dim, "x")
@@ -197,13 +194,12 @@ class Subspace(_Projector):
         """Orthogonal complement within the ambient space."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
-        return kernel_basis(LinearMap(self.basis.T), self._tol)
+        return kernel_basis(LinearMap(self.basis.T))
 
-    def intersect(self, other: "Subspace", tol=None) -> "Subspace":
+    def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection with another subspace of the same ambient space."""
         if other.ambient_dim != self.ambient_dim:
             raise InputError("subspaces live in different ambient spaces")
-        tol = self._tol if tol is None else tol
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         n = self.ambient_dim
@@ -211,7 +207,7 @@ class Subspace(_Projector):
         off_self = eye - self.basis @ self.basis.T
         off_other = eye - other.basis @ other.basis.T
         stacked = np.vstack([off_self, off_other])
-        return kernel_basis(LinearMap(stacked), tol)
+        return kernel_basis(LinearMap(stacked))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of R^{self.ambient_dim})"
@@ -223,8 +219,8 @@ class _WholeSpace(Subspace):
 
     __slots__ = ("_n",)
 
-    def __init__(self, n, tol=DEFAULT_TOL):
-        self._n, self._basis, self._tol = int(n), None, float(tol)
+    def __init__(self, n):
+        self._n, self._basis = int(n), None
 
     @property
     def basis(self) -> np.ndarray:
@@ -256,35 +252,30 @@ class SobolevNormKind(enum.Enum):
     HM1_C_PLUS_I = "hm1_c_plus_i"
 
 
-def _rank_svd(a, tol, full_v=True):
-    """SVD of ``a`` with its numerical rank under the relative rule.
+def _rank_svd(a, full_v=True):
+    """SVD of ``a`` with its numerical rank under the ``RANK_TOL`` rule.
 
-    Singular values below ``tol * sigma_max`` count as zero.  U is thin;
-    Vh is square when ``full_v``, as the kernel needs.
+    U is thin; Vh is square when ``full_v``, as the kernel needs.
     """
-    if tol < 0:
-        raise InputError("tol must be nonnegative")
     u, s, vh = np.linalg.svd(a, full_matrices=full_v and a.shape[0] < a.shape[1])
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
     return u, s, vh, rank
 
 
-def kernel_basis(m, tol=DEFAULT_TOL) -> Subspace:
+def kernel_basis(m) -> Subspace:
     """Orthonormal basis of the null space of ``m``.
 
     Rank decisions use a relative rule: singular values below
-    ``tol * sigma_max`` count as zero.
+    ``RANK_TOL * sigma_max`` count as zero.
     """
-    a = as_linear_map(m).matrix
-    _, _, vh, rank = _rank_svd(a, tol)
-    return Subspace._orthonormal(vh[rank:].T, tol)
+    _, _, vh, rank = _rank_svd(as_linear_map(m).matrix)
+    return Subspace._orthonormal(vh[rank:].T)
 
 
-def range_basis(m, tol=DEFAULT_TOL) -> Subspace:
+def range_basis(m) -> Subspace:
     """Orthonormal basis of the column space of ``m``; same rank rule."""
-    a = as_linear_map(m).matrix
-    u, _, _, rank = _rank_svd(a, tol, full_v=False)
-    return Subspace._orthonormal(u[:, :rank], tol)
+    u, _, _, rank = _rank_svd(as_linear_map(m).matrix, full_v=False)
+    return Subspace._orthonormal(u[:, :rank])
 
 
 class RestrictedOperator:
@@ -301,15 +292,14 @@ class RestrictedOperator:
     spaces (``b_star_inverse``, ``b_inverse`` and ``sobolev_norm`` check).
     """
 
-    __slots__ = ("full_map", "ker", "ran", "ran_adj", "sv", "tol")
+    __slots__ = ("full_map", "ker", "ran", "ran_adj", "sv")
 
-    def __init__(self, full_map, ker, ran, ran_adj, sv, tol=DEFAULT_TOL):
+    def __init__(self, full_map, ker, ran, ran_adj, sv):
         self.full_map = as_linear_map(full_map)
         self.ker = ker
         self.ran = ran
         self.ran_adj = ran_adj
         self.sv = np.asarray(sv, dtype=float)
-        self.tol = float(tol)
         if self.sv.shape != (ran.dim,) or ran.dim != ran_adj.dim:
             raise InputError("need one singular value per range and kernel-complement direction")
         if not np.all(self.sv > 0.0):
@@ -381,14 +371,13 @@ class NormalRestriction:
     solve methods mirror ``RestrictedOperator``'s.
     """
 
-    __slots__ = ("full_map", "ker", "ran", "ran_adj", "tol")
+    __slots__ = ("full_map", "ker", "ran", "ran_adj")
 
-    def __init__(self, full_map, ker, ran, ran_adj, tol=DEFAULT_TOL):
+    def __init__(self, full_map, ker, ran, ran_adj):
         self.full_map = as_linear_map(full_map)
         self.ker = ker
         self.ran = ran
         self.ran_adj = ran_adj
-        self.tol = float(tol)
 
     @property
     def rank(self) -> int:
@@ -412,7 +401,7 @@ class NormalRestriction:
     def svd_range_basis(self) -> np.ndarray:
         """The dense path's range basis, bit for bit (one thin SVD, cached)."""
         if self.ran.svd_basis is None:
-            self.ran.svd_basis = range_basis(self.full_map, self.tol).basis
+            self.ran.svd_basis = range_basis(self.full_map).basis
         return self.ran.svd_basis
 
     def __repr__(self):
@@ -430,12 +419,12 @@ class NormalRestriction:
 _NORMAL_MIN_ENTRIES = 60_000
 # The LU path needs lambda_min(G) >= _NORMAL_MIN_RATIO * (Gershgorin bound
 # of G).  Then cond(G) <= 1e4, so the normal-equation solves keep about 12
-# digits, well below the default tol, and sigma_min >= 1e-2 * sigma_max,
-# so the SVD rule (with tol < 1e-2) finds full rank as well.
+# digits, and sigma_min >= 1e-2 * sigma_max, so the SVD rule (RANK_TOL is
+# far below 1e-2) finds full rank as well.
 _NORMAL_MIN_RATIO = 1e-4
 
 
-def _normal_range(a, tol):
+def _normal_range(a):
     """Factor ``a`` through A^T A if the gate of ``restrict_operator`` admits it.
 
     Returns ``(_NormalRange, None)``, ``(None, None)`` for a map the gate
@@ -446,8 +435,6 @@ def _normal_range(a, tol):
         return None, None
     if not 2 <= cols <= rows:
         return None, f"shape {rows}x{cols} is not tall"
-    if not 0.0 <= tol < _NORMAL_MIN_RATIO ** 0.5:
-        return None, f"rank tol {tol:g} is outside the range the gate can certify"
     # imported here, not at module level: runs on small maps never need it
     import scipy.sparse.linalg
 
@@ -476,8 +463,8 @@ def _normal_range(a, tol):
     return _NormalRange(a_csr, at, lu, lam_min), None
 
 
-def restrict_operator(m, tol=DEFAULT_TOL):
-    """Build the invertible restriction of ``m``, factored once per map and tol.
+def restrict_operator(m):
+    """Build the invertible restriction of ``m``, factored once per map.
 
     A map with at least ``_NORMAL_MIN_ENTRIES`` dense entries and at least
     as many rows as columns is tried on the sparse path: an LU of A^T A
@@ -492,30 +479,29 @@ def restrict_operator(m, tol=DEFAULT_TOL):
     invertible; every derived solve then returns the zero vector.
     """
     lm = as_linear_map(m)
-    factors = lm._restrictions.get(tol)
-    if factors is None:
-        factors = lm._restrictions[tol] = _factor(lm.matrix, tol)
-    if isinstance(factors[1], _NormalRange):
-        return NormalRestriction(lm, *factors, tol)
-    return RestrictedOperator(lm, *factors, tol)
+    if lm._factors is None:
+        lm._factors = _factor(lm.matrix)
+    if isinstance(lm._factors[1], _NormalRange):
+        return NormalRestriction(lm, *lm._factors)
+    return RestrictedOperator(lm, *lm._factors)
 
 
-def _factor(a, tol):
+def _factor(a):
     """The cached factors of ``restrict_operator``: (ker, ran, ran_adj[, sv])."""
     rows, cols = a.shape
-    ran, reason = _normal_range(a, tol)
+    ran, reason = _normal_range(a)
     if ran is not None:
         return Subspace.zero(cols), ran, Subspace.full(cols)
     if reason is not None:
         _log.info("restriction of a %dx%d map falls back to the SVD: %s",
                   rows, cols, reason)
-    u, s, vh, rank = _rank_svd(a, tol)
+    u, s, vh, rank = _rank_svd(a)
     sv = s[:rank].copy()
     sv.flags.writeable = False
     return (
-        Subspace._orthonormal(vh[rank:].T, tol),
-        Subspace._orthonormal(u[:, :rank], tol),
-        Subspace._orthonormal(vh[:rank].T, tol),
+        Subspace._orthonormal(vh[rank:].T),
+        Subspace._orthonormal(u[:, :rank]),
+        Subspace._orthonormal(vh[:rank].T),
         sv,
     )
 
@@ -531,7 +517,7 @@ def sobolev_norm(ctx, kind, x, cmap=None) -> float:
         Which level of the scale to evaluate.
     x : array_like
         For the B-based kinds, ``x`` must lie in the kernel complement of
-        the restricted operator (checked against ``ctx.tol``).
+        the restricted operator (checked against ``RANK_TOL``).
     cmap : LinearMap, optional
         The square-or-rectangular map defining the C-based kinds.
     """
@@ -553,7 +539,7 @@ def sobolev_norm(ctx, kind, x, cmap=None) -> float:
     if ctx is None:
         raise InputError(f"{kind.value} needs a RestrictedOperator context")
     x = _as_array_1d(x, ctx.full_map.cols, "x")
-    ctx.ran_adj.require(x, ctx.tol, "x must lie in the kernel complement")
+    ctx.ran_adj.require(x, RANK_TOL, "x must lie in the kernel complement")
     if kind is SobolevNormKind.H1_B:
         return float(np.linalg.norm(ctx.full_map.matrix @ x))
     return ctx.dual_norm(x)  # HM1_B: sqrt(<x, (B^T B)^{-1} x>)
@@ -562,7 +548,7 @@ def sobolev_norm(ctx, kind, x, cmap=None) -> float:
 def b_star_inverse(ctx, f) -> np.ndarray:
     """Unique w in the range of A with A^T w = f, for f in the kernel complement."""
     f = _as_array_1d(f, ctx.full_map.cols, "f")
-    ctx.ran_adj.require(f, ctx.tol, "f has a component in the kernel of A",
+    ctx.ran_adj.require(f, RANK_TOL, "f has a component in the kernel of A",
                         code="rhs_not_in_H_minus_1")
     return ctx.pull_back(f)
 
@@ -570,7 +556,7 @@ def b_star_inverse(ctx, f) -> np.ndarray:
 def b_inverse(ctx, v) -> np.ndarray:
     """Unique u in the kernel complement with A u = v, for v in the range of A."""
     v = _as_array_1d(v, ctx.full_map.rows, "v")
-    ctx.ran.require(v, ctx.tol, "v has a component outside the range of A")
+    ctx.ran.require(v, RANK_TOL, "v has a component outside the range of A")
     return ctx.push_forward(v)
 
 

@@ -26,6 +26,8 @@ DEFAULT_MAX_ITER = 100000
 
 _SCALAR_ROOT_TOL = 1e-14
 _SCALAR_ROOT_FLOOR = 1e-300
+# make_linear rejects a monotonicity constant c at or below this floor
+_LINEAR_C_FLOOR = 1e-10
 # sampled entries (trials * 2 * dim) per inverse call of the monotonicity
 # probe; bounds the probe's working memory whatever the trial count
 _PROBE_BLOCK_ENTRIES = 4096
@@ -307,7 +309,7 @@ class Relation:
         return f"Relation(dim={self.dim}, c={self.c})"
 
 
-def make_linear(m, tol=1e-10) -> Relation:
+def make_linear(m) -> Relation:
     """Relation x -> M x for square M whose symmetric part is positive definite.
 
     M may be dense, scipy sparse or a LinearMap; it is held as a CSC matrix
@@ -340,13 +342,13 @@ def make_linear(m, tol=1e-10) -> Relation:
         c = float(diag[0])
     else:
         # every eigenvalue lies in [lower, upper]; the margin keeps sym - sigma I
-        # well conditioned (tol covers a zero symmetric part), and a fixed
-        # start vector keeps c bitwise repeatable
-        sigma = lower - 0.01 * max(-lower, upper, tol)
+        # well conditioned (the floor covers a zero symmetric part), and a
+        # fixed start vector keeps c bitwise repeatable
+        sigma = lower - 0.01 * max(-lower, upper, _LINEAR_C_FLOOR)
         v0 = np.random.default_rng(0).standard_normal(dim)
         c = float(scipy.sparse.linalg.eigsh(
             sym, k=1, sigma=sigma, v0=v0, return_eigenvectors=False)[0])
-    if c <= tol:
+    if c <= _LINEAR_C_FLOOR:
         raise ConstructionError(
             f"symmetric part must be positive definite (smallest eigenvalue {c:.3e})"
         )

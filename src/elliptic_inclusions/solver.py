@@ -137,7 +137,7 @@ def _checked_restriction(small: LinearMap, big: LinearMap, inclusion: Subspace,
     the same map and its factored restriction.
     """
     key = (small, inclusion)
-    eff = big._restrictions.get(key)
+    eff = big._composed.get(key)
     if eff is None:
         eff = LinearMap(big.matrix @ inclusion.basis)
         gram = small.matrix.T @ small.matrix
@@ -148,7 +148,7 @@ def _checked_restriction(small: LinearMap, big: LinearMap, inclusion: Subspace,
                 f"inclusion subspace (Gram matrices differ by {gap:.6e})"
             )
         if small is not big:  # a key holding ``big`` itself would be a cycle
-            big._restrictions[key] = eff
+            big._composed[key] = eff
     return eff
 
 

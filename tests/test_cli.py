@@ -510,6 +510,31 @@ def test_bad_graph_parameters_are_a_config_error(tmp_path, graph):
     assert _config_error(tmp_path, cfg)["field"] == "relation.graphs[1]"
 
 
+@pytest.mark.parametrize("graph, field", [
+    ({"kind": "clamp", "lo": 1.0, "hi": -1.0}, "relation.graphs"),
+    ({"slope": 2.0}, "relation.graphs"),
+    ({"kind": "cubic"}, "relation.graphs.kind"),
+])
+def test_bad_shared_graph_reports_the_shared_field(tmp_path, graph, field):
+    assert _config_error(tmp_path, _diagonal_config(graph))["field"] == field
+
+
+def test_shared_graph_is_parsed_once(tmp_path, monkeypatch):
+    from elliptic_inclusions import Power, cli
+
+    calls = []
+    real_parse = cli._parse_graph
+    monkeypatch.setattr(cli, "_parse_graph",
+                        lambda entry, fieldpath: calls.append(fieldpath)
+                        or real_parse(entry, fieldpath))
+    shared = {"kind": "power", "exponent": 3}
+    problem, _ = cli.parse_config(write_config(tmp_path, _diagonal_config(shared)))
+    graphs = problem.relation.descriptor.graphs
+    assert calls == ["relation.graphs"]
+    assert len(graphs) == 7 and graphs[0] == Power(3.0)
+    assert all(g is graphs[0] for g in graphs)
+
+
 def test_oracle_check_with_clamp_and_relay_graphs(tmp_path, monkeypatch):
     from elliptic_inclusions import oracle
 

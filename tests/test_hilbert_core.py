@@ -134,6 +134,19 @@ def test_restrict_operator_identity_and_zero():
     assert r_zero.full_map.rows - r_zero.rank == 3
 
 
+@pytest.mark.parametrize("rows", [3, 5])
+def test_one_rank_rule_for_kernel_range_and_restriction(rows):
+    # RANK_TOL = 1e-10 relative: 2e-10 counts as rank, 5e-11 as kernel
+    m = np.zeros((rows, 3))
+    m[:3, :3] = np.diag([1.0, 2e-10, 5e-11])
+    ker = kernel_basis(m)
+    assert ker.dim == 1
+    assert np.allclose(np.abs(ker.basis[:, 0]), [0.0, 0.0, 1.0])
+    assert range_basis(m).dim == 2
+    restricted = restrict_operator(m)
+    assert restricted.rank == 2 and restricted.ker.dim == 1
+
+
 def test_restrict_operator_reuses_factors_per_map_and_tol():
     lm = LinearMap(NEUMANN_GRAD_3)
     first = restrict_operator(lm)
@@ -141,9 +154,6 @@ def test_restrict_operator_reuses_factors_per_map_and_tol():
     assert again is not first
     assert again.ran is first.ran and again.ran_adj is first.ran_adj
     assert again.ker is first.ker and again.sv is first.sv
-    other = restrict_operator(lm, tol=1e-6)
-    assert other.ran is not first.ran and other.tol == 1e-6
-    assert restrict_operator(lm, tol=1e-6).ran is other.ran
     raw = restrict_operator(NEUMANN_GRAD_3)
     assert raw.rank == first.rank == 2
     assert np.allclose(raw.sv, first.sv)

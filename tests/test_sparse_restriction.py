@@ -294,14 +294,14 @@ def test_gate_decision_repeats_bitwise(no_size_gate):
     rng = np.random.default_rng(16)
     accepted = zero_boundary("grad2d", (6, 6))
     rejected = ill_conditioned(rng)
-    lam = [hilbert_core._normal_range(accepted, 1e-10)[0].lambda_min for _ in range(3)]
+    lam = [hilbert_core._normal_range(accepted)[0].lambda_min for _ in range(3)]
     assert lam[0] > 0.0 and lam.count(lam[0]) == 3
-    reasons = {hilbert_core._normal_range(rejected, 1e-10)[1] for _ in range(3)}
+    reasons = {hilbert_core._normal_range(rejected)[1] for _ in range(3)}
     assert len(reasons) == 1 and None not in reasons
 
 
 def test_small_maps_skip_the_gate():
-    assert hilbert_core._normal_range(zero_boundary("grad2d", (6, 6)), 1e-10) == (None, None)
+    assert hilbert_core._normal_range(zero_boundary("grad2d", (6, 6))) == (None, None)
 
 
 def test_public_subspace_still_checks_orthonormality():
