@@ -19,7 +19,7 @@ time per iteration, and the process's peak RSS.
 
 The ``--dr`` form compares plain and Anderson-accelerated DR on the same
 sign problems at 20 x 20, 30 x 30 and 40 x 40, each grid in one fresh
-process, at the steps lam*c = 1 (the default), 0.5 and 0.25.  Plain DR is
+process, at the solver's one step 1/c.  Plain DR is
 the accelerated code with ``relations._ANDERSON_SLOW_RATE`` set to
 infinity, so that every step counts as fast enough.  It reports the DR map
 evaluations, the accepted and rejected extrapolations, the solve time and
@@ -41,7 +41,6 @@ SVD_SKIP = {("grad2d", 60)}  # that SVD needs about 1 GB and half a minute
 PROJECTIONS = 200
 REPEATS = 5
 DR_GRIDS = (20, 30, 40)
-DR_STEPS = (1.0, 0.5, 0.25)  # lam * c
 
 
 def _best(fn):
@@ -109,19 +108,18 @@ def dr_rows(n):
     rows = []
     for rule, rate in (("plain", float("inf")), ("anderson", accelerated)):
         relations._ANDERSON_SLOW_RATE = rate
-        for step in DR_STEPS:
-            start = time.perf_counter()
-            sol = solve(Problem("homogeneous", a, relation, f, lam=step / relation.c))
-            solve_s = time.perf_counter() - start
-            rows.append({
-                "grid": n, "shape": list(a.shape), "rule": rule, "lam_c": step,
-                "evaluations": sol.diagnostics["n_iterations"],
-                "accepted": sol.certificate.accepted,
-                "rejected": sol.certificate.rejected,
-                "solve_s": solve_s,
-                "max_residual": max(v for k, v in sol.diagnostics.items()
-                                    if k.startswith("residual_")),
-            })
+        start = time.perf_counter()
+        sol = solve(Problem("homogeneous", a, relation, f))
+        solve_s = time.perf_counter() - start
+        rows.append({
+            "grid": n, "shape": list(a.shape), "rule": rule,
+            "evaluations": sol.diagnostics["n_iterations"],
+            "accepted": sol.certificate.accepted,
+            "rejected": sol.certificate.rejected,
+            "solve_s": solve_s,
+            "max_residual": max(v for k, v in sol.diagnostics.items()
+                                if k.startswith("residual_")),
+        })
     relations._ANDERSON_SLOW_RATE = accelerated
     return rows
 

@@ -39,6 +39,8 @@ from .operators import (
     operator_pair,
 )
 from .relations import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_PROJECTED_TOL,
     Clamp,
     DiagonalDescriptor,
     Linear,
@@ -100,7 +102,10 @@ def _get(cfg, key, types, fieldpath, default=None, required=False):
             _fail("missing required field", f"{fieldpath}{key}")
         return default
     value = cfg[key]
-    if types is not None and not isinstance(value, types):
+    allowed = types if isinstance(types, tuple) else (types,)
+    # JSON true and false parse as bool, which subclasses int
+    if not isinstance(value, allowed) or (isinstance(value, bool)
+                                          and bool not in allowed):
         _fail(f"expected {types}, got {type(value).__name__}", f"{fieldpath}{key}")
     return value
 
@@ -239,7 +244,7 @@ def parse_config(path):
               "kind")
     known = {
         "schema_version", "kind", "operator", "relation", "f", "u0",
-        "tol", "lambda", "max_iter", "seed", "checks",
+        "tol", "max_iter", "seed", "checks",
     }
     for key in cfg:
         if key not in known:
@@ -261,11 +266,8 @@ def parse_config(path):
     u0 = cfg.get("u0")
     if u0 is not None:
         u0 = _load_vector(u0, "u0", base_dir)
-    tol = float(_get(cfg, "tol", (int, float), "", default=1e-10))
-    lam = cfg.get("lambda")
-    if lam is not None:
-        lam = float(lam)
-    max_iter = int(_get(cfg, "max_iter", int, "", default=100000))
+    tol = float(_get(cfg, "tol", (int, float), "", default=DEFAULT_PROJECTED_TOL))
+    max_iter = int(_get(cfg, "max_iter", int, "", default=DEFAULT_MAX_ITER))
     seed = int(_get(cfg, "seed", int, "", default=0))
 
     checks = _get(cfg, "checks", list, "", default=[])
@@ -281,7 +283,6 @@ def parse_config(path):
             inclusion=inclusion,
             u0=u0,
             tol=tol,
-            lam=lam,
             max_iter=max_iter,
         )
     except InputError as exc:
@@ -295,7 +296,6 @@ def parse_config(path):
         "f": f.tolist(),
         "u0": None if u0 is None else u0.tolist(),
         "tol": tol,
-        "lambda": lam,
         "max_iter": max_iter,
         "seed": seed,
         "checks": list(checks),

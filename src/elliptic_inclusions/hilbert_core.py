@@ -325,10 +325,6 @@ class RestrictedOperator:
         """Smallest eigenvalue of A^T A on the kernel complement."""
         return float(self.sv[-1] ** 2)
 
-    def svd_range_basis(self) -> np.ndarray:
-        """The left singular vectors spanning the range (range coordinates)."""
-        return self.ran.basis
-
     def __repr__(self):
         return f"RestrictedOperator(rank={self.rank}, shape={self.full_map.shape})"
 
@@ -338,15 +334,13 @@ class _NormalRange(_Projector):
 
     Holds CSR copies of A and A^T, the LU and the certified ``lambda_min``
     of G, never the ``LinearMap``: it is cached on that map, and a
-    reference back would make a cycle.  ``svd_basis`` caches the SVD's
-    range basis once something asks for it.
+    reference back would make a cycle.  It stores no basis of the range.
     """
 
-    __slots__ = ("a", "at", "lu", "lambda_min", "svd_basis")
+    __slots__ = ("a", "at", "lu", "lambda_min")
 
     def __init__(self, a, at, lu, lambda_min):
-        self.a, self.at, self.lu = a, at, lu
-        self.lambda_min, self.svd_basis = lambda_min, None
+        self.a, self.at, self.lu, self.lambda_min = a, at, lu, lambda_min
 
     @property
     def ambient_dim(self) -> int:
@@ -397,12 +391,6 @@ class NormalRestriction:
         it is the inverse of a Ritz value of (A^T A)^-1, which bounds that
         operator's largest eigenvalue from below."""
         return self.ran.lambda_min
-
-    def svd_range_basis(self) -> np.ndarray:
-        """The dense path's range basis, bit for bit (one thin SVD, cached)."""
-        if self.ran.svd_basis is None:
-            self.ran.svd_basis = range_basis(self.full_map).basis
-        return self.ran.svd_basis
 
     def __repr__(self):
         return f"NormalRestriction(rank={self.rank}, shape={self.full_map.shape})"

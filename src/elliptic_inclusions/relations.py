@@ -453,7 +453,6 @@ def projected_inverse(
     relation: Relation,
     subspace: Subspace,
     w,
-    lam=None,
     tol=DEFAULT_PROJECTED_TOL,
     max_iter=DEFAULT_MAX_ITER,
     s0=None,
@@ -464,10 +463,10 @@ def projected_inverse(
     ``require`` and ``ambient_dim``, such as a sparse restriction's range.
 
     Douglas-Rachford iteration on 0 in (a - (0, w))(x) + N_U(x): the normal
-    cone resolvent is the projection, the other resolvent comes from the
-    relation.  Strong monotonicity makes the solution unique.  Returns the
-    pair (x, v) with v in a(x) and P v = w, its graph residual, and the
-    iteration count.
+    cone resolvent is the projection, the other is the relation's resolvent
+    at the step 1/c.  Strong monotonicity makes the solution unique.
+    Returns the pair (x, v) with v in a(x) and P v = w, its graph residual,
+    and the iteration count.
 
     The DR map T(s) = s + z - x is accelerated by type-II Anderson
     extrapolation with memory ``_ANDERSON_MEMORY`` (Fu, Zhang & Boyd 2020).
@@ -486,12 +485,7 @@ def projected_inverse(
     if subspace.ambient_dim != relation.dim:
         raise InputError("subspace ambient dimension does not match the relation")
     subspace.require(w, tol, "w must lie in the projection subspace")
-    if lam is None:
-        lam = 1.0 / relation.c
-    elif not (lam > 0.0):
-        raise InputError("lam must be positive")
-    # keep the certificate v = w + (x - s)/lam accurate when lam*c is small
-    tol_inner = tol * min(1.0, lam * relation.c)
+    lam = 1.0 / relation.c
     shifted = relation.shift(np.zeros_like(w), w)
     s = w.copy() if s0 is None else relation._check_dim(s0, "s0").copy()
     history = _Anderson(relation.dim, _ANDERSON_MEMORY)
@@ -527,7 +521,7 @@ def projected_inverse(
             else:
                 accepted += 1
             base = None
-        if gap <= tol_inner:
+        if gap <= tol:
             x_out = subspace.project(t)
             v = w + (x_out - t) / lam
             return GraphPoint(

@@ -31,7 +31,8 @@ from .hilbert_core import (
     restrict_operator,
     sobolev_norm,
 )
-from .relations import GraphPoint, LinearDescriptor, Relation, projected_inverse
+from .relations import (DEFAULT_MAX_ITER, DEFAULT_PROJECTED_TOL, GraphPoint,
+                        LinearDescriptor, Relation, projected_inverse)
 
 HOMOGENEOUS = "homogeneous"
 DIRICHLET = "dirichlet"
@@ -68,9 +69,8 @@ class Problem:
     C: LinearMap | None = None
     inclusion: Subspace | None = None
     u0: np.ndarray | None = None
-    tol: float = 1e-10
-    lam: float | None = None
-    max_iter: int = 100000
+    tol: float = DEFAULT_PROJECTED_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     effective: LinearMap | None = field(default=None, init=False, repr=False,
                                         compare=False)
 
@@ -89,8 +89,12 @@ class Problem:
             raise InputError("right-hand side must be finite")
         if not (self.tol > 0.0):
             raise InputError("tol must be positive")
+        if not (self.max_iter >= 1):
+            raise InputError("max_iter must be >= 1")
         if f.shape != (a.cols,):
             raise InputError(f"f has shape {f.shape}, expected ({a.cols},)")
+        if self.kind != DIRICHLET and relation.dim != a.rows:
+            raise InputError("relation must live on the codomain of A")
         if self.kind == DIRICHLET:
             if c is None or inclusion is None:
                 raise InputError("boundary-data problems need C and the inclusion")
@@ -109,8 +113,6 @@ class Problem:
                 raise InputError("flux-data problems need the inclusion subspace")
             if inclusion.ambient_dim != a.cols:
                 raise InputError("inclusion must live in the domain of A")
-            if relation.dim != a.rows:
-                raise InputError("relation must live on the codomain of A")
             if u0.shape != (a.rows,):
                 raise InputError("u0 must live in the codomain of A")
             if c is not None and c.cols != inclusion.dim:
@@ -182,49 +184,27 @@ class EstimateReport:
     passed: bool
 
 
-def _invert_on_range(restricted, relation, w, tol, lam, max_iter, dr_start):
-    """Relation inversion composed with the range projection.
+def _homogeneous_core(a_map, relation, f, tol, max_iter, dr_start=None):
+    """Pull ``f`` back to w, invert the relation on the range (directly when
+    A maps onto its codomain, else through Douglas-Rachford), push forward.
 
-    Returns (g, v, point, iterations) with g in the range, (.,.) in the
-    relation's own coordinates inside ``point``, and v the full-space
-    certificate with range projection w.
+    Returns (restricted, w, v, point, u): ``point`` is the pair (A u, v) on
+    the relation's graph, and v projects onto the range as w.
     """
-    m = restricted.full_map.rows
-    if relation.dim == m:
-        if restricted.ran.dim == m:
-            g = relation.inverse(w)
-            point = GraphPoint(g, w.copy(), relation.graph_residual(g, w), iterations=0)
-            return g, w, point, 0
-        point = projected_inverse(
-            relation, restricted.ran, w,
-            lam=lam, tol=tol, max_iter=max_iter, s0=dr_start,
-        )
-        return point.x, point.y, point, point.iterations
-    if relation.dim == restricted.ran.dim:
-        # relation declared directly in range coordinates, those of the SVD
-        basis = restricted.svd_range_basis()
-        omega = basis.T @ w
-        xc = relation.inverse(omega)
-        point = GraphPoint(xc, omega, relation.graph_residual(xc, omega), iterations=0)
-        return basis @ xc, w, point, 0
-    raise InputError(
-        f"relation dimension {relation.dim} matches neither the codomain "
-        f"({m}) nor the range ({restricted.ran.dim}) of A"
-    )
-
-
-def _homogeneous_core(a_map, relation, f, tol, lam, max_iter, dr_start=None):
     restricted = restrict_operator(a_map)
     restricted.ran_adj.require(
         f, tol, "right-hand side has a kernel component; it does not define an "
         "admissible functional", code="rhs_not_in_H_minus_1",
     )
     w = b_star_inverse(restricted, f)
-    g, v, point, iters = _invert_on_range(
-        restricted, relation, w, tol, lam, max_iter, dr_start
-    )
-    u = b_inverse(restricted, g)
-    return restricted, w, g, v, point, iters, u
+    if restricted.ran.dim == relation.dim:
+        g = relation.inverse(w)
+        point = GraphPoint(g, w.copy(), relation.graph_residual(g, w), iterations=0)
+    else:
+        point = projected_inverse(relation, restricted.ran, w, tol=tol,
+                                  max_iter=max_iter, s0=dr_start)
+    u = b_inverse(restricted, point.x)
+    return restricted, w, point.y, point, u
 
 
 def _certify(diagnostics, tol):
@@ -241,16 +221,14 @@ def _certify(diagnostics, tol):
 def solve_homogeneous(problem: Problem, dr_start=None) -> Solution:
     """Solve A^T a(A u) in f for f orthogonal to the kernel of A.
 
-    The relation may live on the full codomain (it is then composed with
-    the range projection and inverted by Douglas-Rachford) or directly on
-    range coordinates (dimension equal to the rank; inverted in one
-    resolvent evaluation).
+    The relation lives on the codomain of A.  It is composed with the range
+    projection and inverted by Douglas-Rachford, or in one evaluation when
+    A maps onto its codomain.
     """
     if problem.kind != HOMOGENEOUS:
         raise InputError(f"expected a homogeneous problem, got {problem.kind!r}")
-    restricted, w, g, v, point, iters, u = _homogeneous_core(
-        problem.A, problem.relation, problem.f,
-        problem.tol, problem.lam, problem.max_iter, dr_start,
+    restricted, w, v, point, u = _homogeneous_core(
+        problem.A, problem.relation, problem.f, problem.tol, problem.max_iter, dr_start,
     )
     amat = problem.A.matrix
     diagnostics = {
@@ -261,7 +239,7 @@ def solve_homogeneous(problem: Problem, dr_start=None) -> Solution:
         "norm_u_h0": float(np.linalg.norm(u)),
         "norm_u_h1_b": float(np.linalg.norm(amat @ u)),
         "norm_f_hm1_b": sobolev_norm(restricted, SobolevNormKind.HM1_B, problem.f),
-        "n_iterations": iters,
+        "n_iterations": point.iterations,
     }
     _certify(diagnostics, problem.tol)
     return Solution(u=u, certificate=point, w=w, diagnostics=diagnostics)
@@ -280,8 +258,8 @@ def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
     eff = problem.effective
     cu0 = problem.C.matrix @ u0
     shifted = problem.relation.shift(cu0, np.zeros_like(cu0))
-    restricted, w, g, v, point, iters, u_red = _homogeneous_core(
-        eff, shifted, problem.f, problem.tol, problem.lam, problem.max_iter, dr_start,
+    restricted, w, v, point, u_red = _homogeneous_core(
+        eff, shifted, problem.f, problem.tol, problem.max_iter, dr_start,
     )
     embed = problem.inclusion.basis
     u = u0 + embed @ u_red
@@ -301,7 +279,7 @@ def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
         ),
         "norm_correction_h1_b": float(np.linalg.norm(eff.matrix @ u_red)),
         "norm_f_hm1_b": sobolev_norm(restricted, SobolevNormKind.HM1_B, problem.f),
-        "n_iterations": iters,
+        "n_iterations": point.iterations,
     }
     _certify(diagnostics, problem.tol)
     return Solution(u=u, certificate=cert, w=w, diagnostics=diagnostics)
@@ -347,8 +325,8 @@ def solve_neumann(problem: Problem, dr_start=None) -> Solution:
     comp = q1 @ kernel_basis(LinearMap(cross)).basis
 
     shifted = problem.relation.shift(np.zeros(problem.A.rows), u0)
-    _, w_vec, gg, y, point, iters, u = _homogeneous_core(
-        problem.A, shifted, g, problem.tol, problem.lam, problem.max_iter, dr_start,
+    _, w_vec, y, point, u = _homogeneous_core(
+        problem.A, shifted, g, problem.tol, problem.max_iter, dr_start,
     )
     v = y + u0
     au = amat @ u
@@ -371,7 +349,7 @@ def solve_neumann(problem: Problem, dr_start=None) -> Solution:
         "norm_xi_hm1_b": sobolev_norm(restricted, SobolevNormKind.HM1_B, g),
         "report_compat_kernel_max": float(np.max(np.abs(compat), initial=0.0)),
         "report_wperp_discrepancy_max": report_wperp,
-        "n_iterations": iters,
+        "n_iterations": point.iterations,
     }
     _certify(diagnostics, problem.tol)
     return Solution(u=u, certificate=cert, w=v, diagnostics=diagnostics)
@@ -504,9 +482,9 @@ def lipschitz_probe(template: Problem, pairs=100, rng_seed=0) -> float:
         if den < 1e-12:
             continue
         u1 = _homogeneous_core(template.A, template.relation, f1,
-                               template.tol, template.lam, template.max_iter)[6]
+                               template.tol, template.max_iter)[-1]
         u2 = _homogeneous_core(template.A, template.relation, f2,
-                               template.tol, template.lam, template.max_iter)[6]
+                               template.tol, template.max_iter)[-1]
         ratio = float(np.linalg.norm(amat @ (u1 - u2))) / den
         worst = max(worst, ratio)
     return worst

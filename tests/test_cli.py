@@ -555,3 +555,34 @@ def test_oracle_check_with_clamp_and_relay_graphs(tmp_path, monkeypatch):
     assert check["name"] == "oracle" and check["pass"]
     assert check["oracle_delta"] <= 1e-8
     assert domains == [(5, 4)]  # branch enumeration on the 5 x 4 map
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "max_iter", True), (None, "tol", True), (None, "schema_version", True),
+    (None, "seed", False), ("operator", "h", True), ("relation", "c", True),
+])
+def test_json_booleans_are_not_numbers(tmp_path, section, key, value):
+    cfg = _diagonal_config({"kind": "sign"})
+    (cfg if section is None else cfg[section])[key] = value
+    field = key if section is None else f"{section}.{key}"
+    assert _config_error(tmp_path, cfg)["field"] == field
+
+
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_non_positive_max_iter_is_a_config_error(tmp_path, max_iter):
+    error = _config_error(tmp_path, poisson_config(max_iter=max_iter))
+    assert "max_iter" in error["message"]
+
+
+def test_douglas_rachford_step_is_not_a_config_field(tmp_path):
+    assert _config_error(tmp_path, poisson_config(**{"lambda": 0.5}))["field"] == "lambda"
+
+
+def test_defaults_are_the_solver_defaults(tmp_path):
+    from elliptic_inclusions.cli import parse_config
+    from elliptic_inclusions.relations import DEFAULT_MAX_ITER, DEFAULT_PROJECTED_TOL
+
+    problem, normalized = parse_config(write_config(tmp_path, poisson_config()))
+    assert (problem.tol, problem.max_iter) == (DEFAULT_PROJECTED_TOL, DEFAULT_MAX_ITER)
+    assert (normalized["tol"], normalized["max_iter"]) == (problem.tol, problem.max_iter)
+    assert "lambda" not in normalized

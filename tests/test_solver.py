@@ -72,26 +72,6 @@ def test_homogeneous_sign_single_interior_node():
         assert np.linalg.norm(sol.u - u_ref) < 1e-8
 
 
-def test_homogeneous_relation_on_range_coordinates():
-    rng = np.random.default_rng(0)
-    a = random_operator(rng, 4, 3, 3)
-    restricted = restrict_operator(a)
-    m_red = random_pd_matrix(rng, 3)
-    rel_reduced = make_linear(m_red)
-    # the same relation expressed on the full codomain, padded off the range
-    q2 = restricted.ran.basis
-    m_full = q2 @ m_red @ q2.T + (np.eye(4) - q2 @ q2.T)
-    rel_full = make_linear(m_full)
-    f = rng.standard_normal(3)
-    u_red = solve_homogeneous(
-        Problem("homogeneous", LinearMap(a), rel_reduced, f, tol=1e-12)
-    ).u
-    u_full = solve_homogeneous(
-        Problem("homogeneous", LinearMap(a), rel_full, f, tol=1e-12)
-    ).u
-    assert np.linalg.norm(u_red - u_full) < 1e-9
-
-
 def test_homogeneous_rejects_kernel_rhs():
     free = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
     rel = make_linear(np.eye(2))
@@ -104,8 +84,8 @@ def test_homogeneous_rejects_kernel_rhs():
 def test_homogeneous_rejects_mismatched_relation():
     # dimension 2 matches neither the codomain (4) nor the range (3)
     rel = make_linear(np.eye(2))
-    problem = Problem("homogeneous", LinearMap(DIRICHLET_GRAD_3), rel, np.ones(3))
     with pytest.raises(InputError):
+        problem = Problem("homogeneous", LinearMap(DIRICHLET_GRAD_3), rel, np.ones(3))
         solve_homogeneous(problem)
 
 
@@ -611,3 +591,18 @@ def test_custom_relation_through_pipeline():
     sol = solve_homogeneous(Problem("homogeneous", LinearMap(a), rel, f, tol=1e-11))
     s = a @ sol.u
     assert np.linalg.norm(a.T @ (s + np.linalg.norm(s) * s) - f) < 1e-8
+
+
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_problem_rejects_non_positive_max_iter(max_iter):
+    rel = make_linear(np.eye(4))
+    with pytest.raises(InputError, match="max_iter"):
+        Problem("homogeneous", LinearMap(DIRICHLET_GRAD_3), rel, np.ones(3),
+                max_iter=max_iter)
+
+
+def test_homogeneous_relation_lives_on_the_codomain():
+    # dimension 3 is the rank of A, not its codomain (4)
+    with pytest.raises(InputError, match="codomain of A"):
+        Problem("homogeneous", LinearMap(DIRICHLET_GRAD_3), make_linear(np.eye(3)),
+                np.ones(3))

@@ -117,8 +117,6 @@ def test_sparse_factors_agree_with_the_svd(name):
                      sobolev_norm(dense, SobolevNormKind.HM1_B, f))
     cmap = np.vstack([a, rng.standard_normal((3, cols))])
     assert_close(embedding_constant(sparse, cmap), embedding_constant(dense, cmap))
-    # the range-coordinate basis is the SVD's, bit for bit
-    assert np.array_equal(sparse.svd_range_basis(), dense.ran.basis)
 
 
 @pytest.mark.parametrize("graph", [Sign(), Power(3.0)])
@@ -140,15 +138,6 @@ def test_homogeneous_solves_agree(name, graph):
     for key, value in sols[1].diagnostics.items():
         if key.startswith("residual_"):
             assert value <= 10.0 * 1e-12, key
-
-
-def test_relation_in_range_coordinates_agrees():
-    rng = np.random.default_rng(13)
-    dense, sparse = both_paths(sparse_injective(rng, 20, 8))
-    relation = make_linear(np.diag(rng.uniform(1.0, 2.0, 8)))
-    f = rng.standard_normal(8)
-    u = [solve(Problem("homogeneous", r.full_map, relation, f)).u for r in (dense, sparse)]
-    assert_close(u[1], u[0])
 
 
 def test_dirichlet_solve_agrees(no_size_gate):
