@@ -74,6 +74,10 @@ CHECK_NAMES = (
     "monotonicity",
 )
 
+# the one problem kind each kind-specific check applies to
+_CHECK_KIND = {"dirichlet_estimate": DIRICHLET, "neumann_estimate": NEUMANN,
+               "lipschitz": HOMOGENEOUS}
+
 _ERROR_CODES = {
     DomainError: "domain_error",
     ConvergenceError: "convergence_failure",
@@ -286,7 +290,7 @@ def parse_config(path):
             max_iter=max_iter,
         )
     except InputError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(str(exc), field=exc.field)
 
     normalized = {
         "schema_version": SCHEMA_VERSION,
@@ -307,12 +311,9 @@ def _validate_checks(checks, kind, relation):
     for i, name in enumerate(checks):
         if name not in CHECK_NAMES:
             _fail(f"unknown check {name!r}", f"checks[{i}]")
-    if "dirichlet_estimate" in checks and kind != DIRICHLET:
-        _fail("dirichlet_estimate applies to dirichlet problems only", "checks")
-    if "neumann_estimate" in checks and kind != NEUMANN:
-        _fail("neumann_estimate applies to neumann problems only", "checks")
-    if "lipschitz" in checks and kind != HOMOGENEOUS:
-        _fail("lipschitz applies to homogeneous problems only", "checks")
+    for name, only in _CHECK_KIND.items():
+        if name in checks and kind != only:
+            _fail(f"{name} applies to {only} problems only", "checks")
     if "oracle" in checks:
         _validate_oracle_applicable(kind, relation)
 
@@ -600,13 +601,8 @@ def main(argv=None) -> int:
         checks_override = ["certificate", "monotonicity"]
         try:
             _, normalized = parse_config(args.config)
-            kind = normalized["kind"]
-            if kind == HOMOGENEOUS:
-                checks_override.append("lipschitz")
-            elif kind == DIRICHLET:
-                checks_override.append("dirichlet_estimate")
-            else:
-                checks_override.append("neumann_estimate")
+            checks_override += [name for name, only in _CHECK_KIND.items()
+                                if only == normalized["kind"]]
         except ConfigError:
             pass  # run_config reports the config error itself
     elif args.command == "oracle-check":

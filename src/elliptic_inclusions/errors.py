@@ -2,7 +2,14 @@
 
 
 class InputError(ValueError):
-    """Malformed numerical input: wrong shape, non-finite entries, bad file."""
+    """Malformed numerical input: wrong shape, non-finite entries, bad file.
+
+    ``field`` names the offending ``Problem`` field, when there is one.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class DomainError(ValueError):

@@ -63,10 +63,13 @@ class LinearMap:
         owned = scipy.sparse.issparse(entries)  # densified here: no caller holds it
         if owned:
             entries = entries.toarray()
-        entries = np.asarray(entries)
-        if np.iscomplexobj(entries):
+        try:
+            entries = np.asarray(entries)
+            a = None if np.iscomplexobj(entries) else np.asarray(entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"matrix entries must be real numbers ({exc})") from exc
+        if a is None:
             raise InputError("complex entries are not supported; the scalar field is real")
-        a = np.asarray(entries, dtype=float)
         if a.ndim != 2:
             raise InputError(f"expected a matrix, got an array of shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -190,12 +193,6 @@ class Subspace(_Projector):
         """The vector ``basis @ z`` with coordinates ``z`` in the basis."""
         return self._basis @ z
 
-    def complement(self) -> "Subspace":
-        """Orthogonal complement within the ambient space."""
-        if self.dim == 0:
-            return Subspace.full(self.ambient_dim)
-        return kernel_basis(LinearMap(self.basis.T))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection with another subspace of the same ambient space."""
         if other.ambient_dim != self.ambient_dim:
@@ -252,12 +249,12 @@ class SobolevNormKind(enum.Enum):
     HM1_C_PLUS_I = "hm1_c_plus_i"
 
 
-def _rank_svd(a, full_v=True):
+def _rank_svd(a):
     """SVD of ``a`` with its numerical rank under the ``RANK_TOL`` rule.
 
-    U is thin; Vh is square when ``full_v``, as the kernel needs.
+    U is thin; Vh is square when ``a`` is wide, as the kernel needs.
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=full_v and a.shape[0] < a.shape[1])
+    u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int(np.sum(s > RANK_TOL * s[0])) if s.size else 0
     return u, s, vh, rank
 
@@ -270,12 +267,6 @@ def kernel_basis(m) -> Subspace:
     """
     _, _, vh, rank = _rank_svd(as_linear_map(m).matrix)
     return Subspace._orthonormal(vh[rank:].T)
-
-
-def range_basis(m) -> Subspace:
-    """Orthonormal basis of the column space of ``m``; same rank rule."""
-    u, _, _, rank = _rank_svd(as_linear_map(m).matrix, full_v=False)
-    return Subspace._orthonormal(u[:, :rank])
 
 
 class RestrictedOperator:
@@ -592,8 +583,3 @@ def read_matrix_market(path):
 def load_matrix_market(path) -> LinearMap:
     """Read a real general matrix in Matrix Market format as a LinearMap."""
     return LinearMap(read_matrix_market(path))
-
-
-def save_basis_columns(subspace: Subspace, path) -> None:
-    """Write a subspace basis as a dense whitespace-separated column file."""
-    np.savetxt(path, subspace.basis)

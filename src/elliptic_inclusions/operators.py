@@ -68,10 +68,9 @@ class OperatorSpec:
 
 @dataclass
 class BuiltOperator:
-    """A constructed difference operator plus its Voigt weights, if any."""
+    """A constructed difference operator."""
 
     matrix: LinearMap
-    voigt_weights: np.ndarray | None = None
 
 
 def _diff_1d(n):
@@ -92,7 +91,7 @@ def _axis_diff(shape, axis):
 
 def _free_gradient(shape, h):
     blocks = [_axis_diff(shape, a) for a in range(len(shape))]
-    return sp.vstack(blocks, format="csr") / h, None
+    return sp.vstack(blocks, format="csr") / h
 
 
 def _free_symgrad_2d(shape, h):
@@ -116,15 +115,8 @@ def _free_symgrad_2d(shape, h):
     e11 = sp.hstack([dx, zero_x], format="csr")
     e22 = sp.hstack([zero_y, dy], format="csr")
     e12 = sp.hstack([dy_on_cells, dx_on_cells], format="csr") / np.sqrt(2.0)
-    matrix = sp.vstack([e11, e22, e12], format="csr")
-    # the measure weight h and the 1/h of the stencil cancel for the normal
-    # rows; the shear rows carry sqrt(2)*h on the averaged stencil
-    weights = np.concatenate([
-        np.full(e11.shape[0], h),
-        np.full(e22.shape[0], h),
-        np.full(e12.shape[0], np.sqrt(2.0) * h),
-    ])
-    return matrix, weights
+    # the square root h of the measure weight cancels the stencil's 1/h
+    return sp.vstack([e11, e22, e12], format="csr")
 
 
 def free_gradient_3d(shape, h=1.0) -> BuiltOperator:
@@ -134,8 +126,7 @@ def free_gradient_3d(shape, h=1.0) -> BuiltOperator:
         raise ConstructionError("3-d gradient needs three extents >= 2")
     if not (h > 0.0):
         raise ConstructionError("grid spacing h must be positive")
-    matrix, _ = _free_gradient(shape, h)
-    return BuiltOperator(LinearMap(matrix))
+    return BuiltOperator(LinearMap(_free_gradient(shape, h)))
 
 
 def _free_curl_3d(shape, h):
@@ -166,7 +157,7 @@ def _free_curl_3d(shape, h):
     dy_ex = _axis_diff(ex_shape, 1)
     fz = sp.hstack([-dy_ex, dx_ey, zeros(dx_ey.shape[0], sizes[2])], format="csr")
 
-    return sp.vstack([fx, fy, fz], format="csr") / h, None
+    return sp.vstack([fx, fy, fz], format="csr") / h
 
 
 def _interior_columns(shape, components):
@@ -181,15 +172,14 @@ def _interior_columns(shape, components):
     return np.concatenate(cols)
 
 
-def _zero_boundary_from_free(full, weights, shape, components):
+def _zero_boundary_from_free(full, shape, components):
     """Zero-boundary operator on ``shape`` from the free one on its ghost grid."""
     restricted = full[:, _interior_columns(shape, components)].tocsr()
     # a row stays when it holds a nonzero value; stored zeros do not count
     keep = np.zeros(restricted.shape[0], dtype=bool)
     keep[np.repeat(np.arange(restricted.shape[0]), np.diff(restricted.indptr))
          [restricted.data != 0.0]] = True
-    weights = weights[keep] if weights is not None else None
-    return restricted[np.flatnonzero(keep)], weights
+    return restricted[np.flatnonzero(keep)]
 
 
 # free builder and unknowns per grid node of the families with pairs
@@ -209,17 +199,16 @@ def build_operator(spec: OperatorSpec) -> BuiltOperator:
     if spec.family == CURL_3D:
         if spec.boundary == ZERO_BOUNDARY:
             raise ConstructionError("only the free curl variant is built")
-        matrix, _ = _free_curl_3d(spec.shape, spec.h)
-        return BuiltOperator(LinearMap(matrix))
+        return BuiltOperator(LinearMap(_free_curl_3d(spec.shape, spec.h)))
 
     builder, components = _PAIR_BUILDERS[spec.family]
     if spec.boundary == FREE:
-        matrix, weights = builder(spec.shape, spec.h)
+        matrix = builder(spec.shape, spec.h)
     else:
         ext_shape = tuple(s + 2 for s in spec.shape)
-        matrix, weights = _zero_boundary_from_free(*builder(ext_shape, spec.h),
-                                                   spec.shape, components)
-    return BuiltOperator(LinearMap(matrix), voigt_weights=weights)
+        matrix = _zero_boundary_from_free(builder(ext_shape, spec.h),
+                                          spec.shape, components)
+    return BuiltOperator(LinearMap(matrix))
 
 
 def operator_pair(spec: OperatorSpec):
@@ -242,11 +231,10 @@ def operator_pair(spec: OperatorSpec):
     interior = tuple(s - 2 for s in spec.shape)
     builder, components = _PAIR_BUILDERS[spec.family]
     # the whole grid is the interior's ghost grid: one free build serves both
-    free, weights = builder(spec.shape, spec.h)
-    matrix, small_weights = _zero_boundary_from_free(free, weights, interior,
-                                                     components)
-    small = BuiltOperator(LinearMap(matrix), voigt_weights=small_weights)
-    big = BuiltOperator(LinearMap(free), voigt_weights=weights)
+    free = builder(spec.shape, spec.h)
+    small = BuiltOperator(LinearMap(_zero_boundary_from_free(free, interior,
+                                                             components)))
+    big = BuiltOperator(LinearMap(free))
     n_total = components * int(np.prod(spec.shape))
     cols = _interior_columns(interior, components)
     basis = np.zeros((n_total, cols.size))

@@ -41,13 +41,6 @@ NEUMANN = "neumann"
 _KINDS = (HOMOGENEOUS, DIRICHLET, NEUMANN)
 
 
-def _as_operator(value) -> LinearMap:
-    # accept BuiltOperator without importing it (duck-typed on .matrix)
-    if hasattr(value, "matrix") and not isinstance(value, LinearMap):
-        value = value.matrix
-    return as_linear_map(value)
-
-
 @dataclass(frozen=True)
 class Problem:
     """One inclusion to solve; immutable, and checked once when built.
@@ -77,8 +70,8 @@ class Problem:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InputError(f"unknown problem kind {self.kind!r}")
-        a = _as_operator(self.A)
-        c = None if self.C is None else _as_operator(self.C)
+        a = as_linear_map(self.A)
+        c = None if self.C is None else as_linear_map(self.C)
         f = np.asarray(self.f, dtype=float)
         u0 = np.zeros(a.rows) if self.u0 is None and self.kind == NEUMANN else self.u0
         u0 = None if u0 is None else np.asarray(u0, dtype=float)
@@ -86,13 +79,14 @@ class Problem:
             object.__setattr__(self, name, value)
         inclusion, relation = self.inclusion, self.relation
         if not np.all(np.isfinite(f)):
-            raise InputError("right-hand side must be finite")
+            raise InputError("right-hand side must be finite", field="f")
         if not (self.tol > 0.0):
-            raise InputError("tol must be positive")
+            raise InputError("tol must be positive", field="tol")
         if not (self.max_iter >= 1):
-            raise InputError("max_iter must be >= 1")
+            raise InputError("max_iter must be >= 1", field="max_iter")
         if f.shape != (a.cols,):
-            raise InputError(f"f has shape {f.shape}, expected ({a.cols},)")
+            raise InputError(f"f has shape {f.shape}, expected ({a.cols},)",
+                             field="f")
         if self.kind != DIRICHLET and relation.dim != a.rows:
             raise InputError("relation must live on the codomain of A")
         if self.kind == DIRICHLET:
@@ -105,20 +99,20 @@ class Problem:
             if relation.dim != c.rows:
                 raise InputError("relation must live on the codomain of C")
             if u0 is None:
-                raise InputError("boundary-data problems need u0")
+                raise InputError("boundary-data problems need u0", field="u0")
             if u0.shape != (c.cols,):
-                raise InputError("u0 must live in the domain of C")
+                raise InputError("u0 must live in the domain of C", field="u0")
         if self.kind == NEUMANN:
             if inclusion is None:
                 raise InputError("flux-data problems need the inclusion subspace")
             if inclusion.ambient_dim != a.cols:
                 raise InputError("inclusion must live in the domain of A")
             if u0.shape != (a.rows,):
-                raise InputError("u0 must live in the codomain of A")
+                raise InputError("u0 must live in the codomain of A", field="u0")
             if c is not None and c.cols != inclusion.dim:
                 raise InputError("inclusion dimension must match the domain of C")
         if u0 is not None and not np.all(np.isfinite(u0)):
-            raise InputError("u0 must be finite")
+            raise InputError("u0 must be finite", field="u0")
         if self.kind == DIRICHLET:
             object.__setattr__(self, "effective",
                                _checked_restriction(a, c, inclusion, "A", "C"))

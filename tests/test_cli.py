@@ -586,3 +586,35 @@ def test_defaults_are_the_solver_defaults(tmp_path):
     assert (problem.tol, problem.max_iter) == (DEFAULT_PROJECTED_TOL, DEFAULT_MAX_ITER)
     assert (normalized["tol"], normalized["max_iter"]) == (problem.tol, problem.max_iter)
     assert "lambda" not in normalized
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_iter", 0), ("tol", 0), ("tol", -1), ("f", [1.0, 2.0]),
+])
+def test_problem_errors_name_their_config_field(tmp_path, key, value):
+    cfg = json.loads((CONFIGS / "poisson_1d.json").read_text())
+    cfg[key] = value
+    assert _config_error(tmp_path, cfg)["field"] == key
+
+
+@pytest.mark.parametrize("u0", [None, [0, 1, 2], [0, 1, float("nan"), 3, 4]])
+def test_bad_boundary_data_names_the_u0_field(tmp_path, u0):
+    cfg = json.loads((CONFIGS / "dirichlet_ramp.json").read_text())
+    cfg["u0"] = u0
+    if u0 is None:
+        del cfg["u0"]
+    assert _config_error(tmp_path, cfg)["field"] == "u0"
+
+
+@pytest.mark.parametrize("check, kind, config", [
+    ("dirichlet_estimate", "dirichlet", "poisson_1d.json"),
+    ("neumann_estimate", "neumann", "dirichlet_ramp.json"),
+    ("lipschitz", "homogeneous", "neumann_1d.json"),
+])
+def test_kind_specific_checks_name_the_kind_they_apply_to(tmp_path, check, kind,
+                                                           config):
+    cfg = json.loads((CONFIGS / config).read_text())
+    cfg["checks"] = [check]
+    error = _config_error(tmp_path, cfg)
+    assert error["field"] == "checks"
+    assert error["message"] == f"checks: {check} applies to {kind} problems only"

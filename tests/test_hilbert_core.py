@@ -21,9 +21,7 @@ from elliptic_inclusions import (
     embedding_constant,
     kernel_basis,
     load_matrix_market,
-    range_basis,
     restrict_operator,
-    save_basis_columns,
     sobolev_norm,
 )
 from elliptic_inclusions import hilbert_core
@@ -38,6 +36,13 @@ def test_linear_map_rejects_bad_input():
         LinearMap([[np.inf, 0.0], [0.0, 1.0]])
     with pytest.raises(InputError):
         LinearMap(np.array([[1.0 + 1j]]))
+
+
+@pytest.mark.parametrize("entries", ["abc", [[1.0, "x"]], [[1.0], [1.0, 2.0]],
+                                     object()])
+def test_linear_map_rejects_non_numeric_entries_with_a_typed_error(entries):
+    with pytest.raises(InputError, match="must be real numbers"):
+        LinearMap(entries)
 
 
 def test_linear_map_accepts_sparse():
@@ -61,23 +66,15 @@ def test_kernel_basis_zero_map_is_everything():
     assert kernel_basis(np.zeros((3, 3))).dim == 3
 
 
-def test_range_basis_identity_and_rank_one():
-    assert range_basis(np.eye(2)).dim == 2
-    ran = range_basis(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert ran.dim == 1
-    direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert abs(abs(float(ran.basis[:, 0] @ direction)) - 1.0) < 1e-12
-
-
 def test_rank_nullity_on_random_maps():
     rng = np.random.default_rng(7)
     for _ in range(50):
         rank = int(rng.integers(0, 5))
         m = random_operator(rng, 6, 4, rank)
         assert np.linalg.matrix_rank(m, tol=1e-8) == rank  # independent oracle
-        assert range_basis(m).dim == rank
+        assert restrict_operator(m).ran.dim == rank
         assert kernel_basis(m).dim == 4 - rank
-        assert range_basis(m).dim + kernel_basis(m).dim == 4
+        assert restrict_operator(m).ran.dim + kernel_basis(m).dim == 4
 
 
 def test_project_special_cases():
@@ -142,7 +139,6 @@ def test_one_rank_rule_for_kernel_range_and_restriction(rows):
     ker = kernel_basis(m)
     assert ker.dim == 1
     assert np.allclose(np.abs(ker.basis[:, 0]), [0.0, 0.0, 1.0])
-    assert range_basis(m).dim == 2
     restricted = restrict_operator(m)
     assert restricted.rank == 2 and restricted.ker.dim == 1
 
@@ -422,10 +418,3 @@ def test_matrix_market_errors(tmp_path):
     bad.write_text("this is not a matrix market file\n")
     with pytest.raises(InputError):
         load_matrix_market(bad)
-
-
-def test_save_basis_columns(tmp_path):
-    sub = Subspace(3, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    out = tmp_path / "basis.txt"
-    save_basis_columns(sub, out)
-    assert np.allclose(np.loadtxt(out), sub.basis)

@@ -91,8 +91,6 @@ def test_symgrad_trace_inner_product_matches_oracle():
             total += h * h * 2.0 * e12 * e12
     out = built.matrix.matrix @ u
     assert np.isclose(float(out @ out), total, rtol=0.0, atol=1e-12)
-    assert built.voigt_weights is not None
-    assert built.voigt_weights.shape == (built.matrix.rows,)
 
 
 def test_symgrad_kernel_is_rigid_motions():
@@ -211,10 +209,9 @@ def test_zero_boundary_single_node():
 
 def _dense_zero_boundary(shape, h, free_builder, components):
     """The zero-boundary construction on dense arrays, as a reference."""
-    full, weights = free_builder(tuple(s + 2 for s in shape), h)
+    full = free_builder(tuple(s + 2 for s in shape), h)
     restricted = full.toarray()[:, operators._interior_columns(shape, components)]
-    keep = np.any(restricted != 0.0, axis=1)
-    return restricted[keep], None if weights is None else weights[keep]
+    return restricted[np.any(restricted != 0.0, axis=1)]
 
 
 @pytest.mark.parametrize("family,shape,components", [
@@ -224,14 +221,10 @@ def _dense_zero_boundary(shape, h, free_builder, components):
 def test_zero_boundary_matches_the_dense_construction_bitwise(family, shape, components):
     builder = operators._free_symgrad_2d if family == "symgrad2d" \
         else operators._free_gradient
-    matrix, weights = _dense_zero_boundary(shape, 0.3, builder, components)
+    matrix = _dense_zero_boundary(shape, 0.3, builder, components)
     built = build_operator(OperatorSpec(family, shape, 0.3, "zero"))
     assert built.matrix.matrix.tobytes() == matrix.tobytes()
     assert built.matrix.shape == matrix.shape
-    if weights is None:
-        assert built.voigt_weights is None
-    else:
-        assert built.voigt_weights.tobytes() == weights.tobytes()
 
 
 def test_zero_boundary_drops_rows_holding_only_stored_zeros():
@@ -241,12 +234,12 @@ def test_zero_boundary_drops_rows_holding_only_stored_zeros():
         rows = np.array([0, 1, 2, 3])
         cols = np.array([4, 4, 0, 4])
         vals = np.array([1.0, 0.0, 5.0, -2.0])
-        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(4, 9)), None
+        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(4, 9))
 
-    matrix, _ = operators._zero_boundary_from_free(*free_builder((3, 3), 1.0),
-                                                   (1, 1), 1)
+    matrix = operators._zero_boundary_from_free(free_builder((3, 3), 1.0),
+                                                (1, 1), 1)
     assert np.array_equal(matrix.toarray(), np.array([[1.0], [-2.0]]))
-    reference, _ = _dense_zero_boundary((1, 1), 1.0, free_builder, 1)
+    reference = _dense_zero_boundary((1, 1), 1.0, free_builder, 1)
     assert np.array_equal(matrix.toarray(), reference)
 
 
@@ -263,10 +256,6 @@ def test_operator_pair_matches_two_separate_builds_bitwise(family, shape):
     for built, ref in ((small, ref_small), (big, ref_big)):
         assert built.matrix.shape == ref.matrix.shape
         assert built.matrix.matrix.tobytes() == ref.matrix.matrix.tobytes()
-        if ref.voigt_weights is None:
-            assert built.voigt_weights is None
-        else:
-            assert built.voigt_weights.tobytes() == ref.voigt_weights.tobytes()
     components = 2 if family == "symgrad2d" else 1
     basis = np.zeros((components * int(np.prod(shape)), small.matrix.cols))
     cols = operators._interior_columns(interior, components)

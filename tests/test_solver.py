@@ -18,6 +18,7 @@ from elliptic_inclusions import (
     Relation,
     Sign,
     SobolevNormKind,
+    build_operator,
     lipschitz_probe,
     make_diagonal,
     make_linear,
@@ -606,3 +607,11 @@ def test_homogeneous_relation_lives_on_the_codomain():
     with pytest.raises(InputError, match="codomain of A"):
         Problem("homogeneous", LinearMap(DIRICHLET_GRAD_3), make_linear(np.eye(3)),
                 np.ones(3))
+
+
+def test_problem_takes_the_built_operator_matrix_not_the_builder_result():
+    built = build_operator(OperatorSpec("grad1d", (3,), 1.0, "zero"))
+    relation = make_linear(np.eye(4))
+    with pytest.raises(InputError, match="must be real numbers"):
+        Problem(kind="homogeneous", A=built, relation=relation, f=np.ones(3))
+    Problem(kind="homogeneous", A=built.matrix, relation=relation, f=np.ones(3))
