@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -111,6 +112,8 @@ def _get(cfg, key, types, fieldpath, default=None, required=False):
     if not isinstance(value, allowed) or (isinstance(value, bool)
                                           and bool not in allowed):
         _fail(f"expected {types}, got {type(value).__name__}", f"{fieldpath}{key}")
+    if isinstance(value, float) and not math.isfinite(value):
+        _fail(f"expected a finite number, got {value}", f"{fieldpath}{key}")
     return value
 
 
@@ -173,9 +176,7 @@ def _parse_relation(cfg, dim, fieldpath, base_dir):
             _fail(str(exc), f"{fieldpath}.matrix")
     if rtype == "diagonal":
         c = _get(cfg, "c", (int, float), f"{fieldpath}.", required=True)
-        graphs = cfg.get("graphs")
-        if graphs is None:
-            _fail("diagonal relations need 'graphs'", f"{fieldpath}.graphs")
+        graphs = _get(cfg, "graphs", (list, dict), f"{fieldpath}.", required=True)
         if isinstance(graphs, dict):  # one graph for every coordinate: parse it once
             parsed = [_parse_graph(graphs, f"{fieldpath}.graphs")] * dim
         else:
@@ -197,6 +198,8 @@ def _parse_operator_section(cfg, kind, fieldpath, base_dir):
     family = _get(cfg, "family", str, f"{fieldpath}.", required=True)
     h = float(_get(cfg, "h", (int, float), f"{fieldpath}.", default=1.0))
     shape = tuple(_get(cfg, "shape", list, f"{fieldpath}.", default=[]))
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in shape):
+        _fail("shape entries must be integers", f"{fieldpath}.shape")
     if family == CUSTOM:
         if kind != HOMOGENEOUS:
             _fail("custom operators support homogeneous problems only",
@@ -204,21 +207,19 @@ def _parse_operator_section(cfg, kind, fieldpath, base_dir):
         path = _get(cfg, "path", str, f"{fieldpath}.", required=True)
         try:
             spec = OperatorSpec(CUSTOM, (), path=str(Path(base_dir) / path))
-            return build_operator(spec), None, None
+            return build_operator(spec), None
         except (ConstructionError, InputError, FileNotFoundError) as exc:
             _fail(str(exc), fieldpath)
     try:
         if kind == HOMOGENEOUS:
             boundary = _get(cfg, "boundary", str, f"{fieldpath}.",
                             default=ZERO_BOUNDARY)
-            built = build_operator(OperatorSpec(family, shape, h, boundary))
-            return built, None, None
-        small, big, inclusion = operator_pair(OperatorSpec(family, shape, h, FREE))
+            return build_operator(OperatorSpec(family, shape, h, boundary)), None
+        # boundary conditions restrict the free operator to the inclusion
+        _, free, inclusion = operator_pair(OperatorSpec(family, shape, h, FREE))
     except ConstructionError as exc:
         _fail(str(exc), fieldpath)
-    if kind == DIRICHLET:
-        return small, big, inclusion
-    return big, small, inclusion
+    return free, inclusion
 
 
 def parse_config(path):
@@ -255,11 +256,9 @@ def parse_config(path):
             _fail("unknown field", key)
 
     op_cfg = _get(cfg, "operator", dict, "", required=True)
-    a_built, c_built, inclusion = _parse_operator_section(
-        op_cfg, kind, "operator", base_dir
-    )
+    a_built, inclusion = _parse_operator_section(op_cfg, kind, "operator", base_dir)
 
-    rel_dim = c_built.matrix.rows if kind == DIRICHLET else a_built.matrix.rows
+    rel_dim = a_built.matrix.rows
     rel_cfg = _get(cfg, "relation", dict, "", required=True)
     relation = _parse_relation(rel_cfg, rel_dim, "relation", base_dir)
     if relation.dim != rel_dim:
@@ -272,7 +271,7 @@ def parse_config(path):
         u0 = _load_vector(u0, "u0", base_dir)
     tol = float(_get(cfg, "tol", (int, float), "", default=DEFAULT_PROJECTED_TOL))
     max_iter = int(_get(cfg, "max_iter", int, "", default=DEFAULT_MAX_ITER))
-    seed = int(_get(cfg, "seed", int, "", default=0))
+    seed = _check_seed(_get(cfg, "seed", int, "", default=0))
 
     checks = _get(cfg, "checks", list, "", default=[])
     _validate_checks(checks, kind, relation)
@@ -283,7 +282,6 @@ def parse_config(path):
             A=a_built.matrix,
             relation=relation,
             f=f,
-            C=None if c_built is None else c_built.matrix,
             inclusion=inclusion,
             u0=u0,
             tol=tol,
@@ -305,6 +303,12 @@ def parse_config(path):
         "checks": list(checks),
     }
     return problem, normalized
+
+
+def _check_seed(seed):
+    if seed < 0:
+        _fail(f"seed must be a non-negative integer, got {seed}", "seed")
+    return seed
 
 
 def _validate_checks(checks, kind, relation):
@@ -356,7 +360,7 @@ def _check_oracle(problem, solution):
     else:  # dirichlet: enumerate against the translated relation
         a_mat = problem.effective.matrix
         f = problem.f
-        shift_p = problem.C.matrix @ problem.u0
+        shift_p = problem.A.matrix @ problem.u0
         u_pipeline = problem.inclusion.basis.T @ (solution.u - problem.u0)
     desc = relation.descriptor
     if isinstance(desc, LinearDescriptor):
@@ -402,7 +406,7 @@ def _perturbed_problem(problem, rng):
     if isinstance(problem.relation.descriptor, LinearDescriptor) \
             or problem.kind == NEUMANN:
         u0 = u0 + rng.standard_normal(u0.shape[0]) * 0.2
-    # same A, C and inclusion: the checked C E and its factors are reused
+    # same A and inclusion: the composed A E and its factors are reused
     return replace(problem, f=problem.f + df, u0=u0)
 
 
@@ -456,6 +460,8 @@ def run_config(path, overrides=None, checks_override=None) -> RunReport:
                 problem = replace(problem, tol=float(overrides["tol"]))
             except InputError as exc:
                 _fail(str(exc), "tol")
+        if overrides.get("seed") is not None:
+            _check_seed(overrides["seed"])
     except ConfigError as exc:
         data = {
             "schema_version": SCHEMA_VERSION,

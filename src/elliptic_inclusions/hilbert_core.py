@@ -53,8 +53,8 @@ class LinearMap:
     Accepts dense array-likes or scipy sparse matrices; entries must be
     finite and real.  Instances are immutable, so each caches the factors
     of its restriction in ``_factors`` (see ``restrict_operator``), and its
-    checked compositions with inclusion subspaces in ``_composed`` (see
-    ``solver._checked_restriction``), keyed by the restricted map and subspace.
+    compositions with inclusion subspaces in ``_composed`` (see
+    ``solver._composed``), keyed by the subspace.
     """
 
     __slots__ = ("_a", "_factors", "_composed")

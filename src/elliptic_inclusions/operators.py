@@ -219,8 +219,8 @@ def operator_pair(spec: OperatorSpec):
     on the interior unknowns, ``big`` the free operator on all nodes, and
     ``inclusion`` the coordinate subspace of the free unknown space holding
     the interior unknowns (zero-extension embeds ``small``'s domain there).
-    The orientation is the caller's: boundary-data problems of the first kind
-    use (small, big), flux-data problems use (big, small).
+    Boundary-data and flux-data problems take ``big`` and ``inclusion``: the
+    operator with boundary conditions is ``big`` restricted to the inclusion.
     """
     if spec.family not in _PAIR_BUILDERS:
         raise ConstructionError(

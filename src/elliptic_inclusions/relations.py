@@ -201,7 +201,7 @@ class GraphPoint:
 @dataclass
 class MonotonicityReport:
     passed: bool
-    min_quotient: float
+    min_quotient: float | None  # None when no sampled pair was kept
     violations: int
     trials: int
     c: float
@@ -223,8 +223,9 @@ class Relation:
                  columnwise=False):
         if dim < 1:
             raise ConstructionError("relation dimension must be positive")
-        if not (c > 0.0):
-            raise ConstructionError("monotonicity constant c must be positive")
+        if not (0.0 < c < np.inf):
+            raise ConstructionError(
+                "monotonicity constant c must be positive and finite")
         self.dim = int(dim)
         self.c = float(c)
         self.base_resolvent = base_resolvent
@@ -370,8 +371,6 @@ def make_linear(m) -> Relation:
 
 def make_diagonal(c, graphs) -> Relation:
     """Coordinatewise relation c*x_i + graph_i(x_i) from a list of scalar graphs."""
-    if not (c > 0.0):
-        raise ConstructionError("monotonicity constant c must be positive")
     graphs = tuple(graphs)
     if not graphs:
         raise ConstructionError("need at least one scalar graph")
@@ -550,11 +549,13 @@ def monotonicity_probe(relation: Relation, trials=200, rng_seed=0) -> Monotonici
 
     Trial i draws y1, y2 from 3*N(0, I) (one generator, in trial order) and
     inverts both; trials run in column blocks of at most _PROBE_BLOCK_ENTRIES
-    sampled entries, one ``inverse`` call per block.  Pairs with
-    |x1 - x2|^2 < 1e-24 are skipped.  A violation of
+    sampled entries, one ``inverse`` call per block.  The inverse is
+    1/c-Lipschitz, so pairs with |x1 - x2| below 1e-12 |y1 - y2| / c are
+    skipped as rounding-level.  A violation of
     <x1 - x2, y1 - y2> >= c|x1 - x2|^2 - 1e-9 is reported, not raised; the
-    report carries the smallest observed quotient.  A non-finite inverse
-    raises ConstructionError: the relation is not what it claims to be.
+    report carries the smallest observed quotient.  A probe that keeps no
+    pair shows nothing and does not pass.  A non-finite inverse raises
+    ConstructionError: the relation is not what it claims to be.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -562,7 +563,7 @@ def monotonicity_probe(relation: Relation, trials=200, rng_seed=0) -> Monotonici
     dim, c = relation.dim, relation.c
     per_block = max(1, _PROBE_BLOCK_ENTRIES // (2 * dim))
     min_quotient = np.inf
-    violations = 0
+    violations = pairs = 0
     for start in range(0, trials, per_block):
         k = min(per_block, trials - start)
         ys = 3.0 * rng.standard_normal((k, 2, dim))  # trial i: y1, y2 = ys[i]
@@ -576,13 +577,14 @@ def monotonicity_probe(relation: Relation, trials=200, rng_seed=0) -> Monotonici
         dy = ys[:, 0] - ys[:, 1]
         nsq = np.einsum("ij,ij->i", dx, dx)
         inner = np.einsum("ij,ij->i", dx, dy)
-        kept = nsq >= 1e-24
+        kept = nsq > (1e-12 / c) ** 2 * np.einsum("ij,ij->i", dy, dy)
+        pairs += int(np.count_nonzero(kept))
         nsq, inner = nsq[kept], inner[kept]
         min_quotient = min(min_quotient, float(np.min(inner / nsq, initial=np.inf)))
         violations += int(np.count_nonzero(inner < c * nsq - 1e-9))
     return MonotonicityReport(
-        passed=violations == 0,
-        min_quotient=float(min_quotient),
+        passed=pairs > 0 and violations == 0,
+        min_quotient=float(min_quotient) if pairs else None,
         violations=violations,
         trials=trials,
         c=c,

@@ -45,13 +45,14 @@ _KINDS = (HOMOGENEOUS, DIRICHLET, NEUMANN)
 class Problem:
     """One inclusion to solve; immutable, and checked once when built.
 
-    ``A`` is the operator whose restriction drives the solve.  Boundary-data
-    problems also carry the extension ``C``, the ``inclusion`` subspace
-    embedding A's domain into C's and the boundary data ``u0``; flux-data
-    problems carry the restriction the other way around (``C`` optional
-    there, used for validation only) and flux data ``u0`` (zero if omitted).
-    Either pair is checked exactly here, and a boundary-data problem keeps
-    the composed map ``C E`` (E the inclusion basis) as ``effective``.
+    ``A`` is the one operator, and the relation lives on its codomain.
+    Boundary-data and flux-data problems also carry the ``inclusion``: the
+    closed subspace of A's domain that the boundary condition cuts out, so
+    that the operator with boundary conditions is A restricted to it.  A
+    boundary-data problem has ``f`` in the inclusion's coordinates and
+    boundary data ``u0`` in A's domain, and keeps the composed map ``A E``
+    (E the inclusion basis) as ``effective``; a flux-data problem has ``f``
+    in A's domain and flux data ``u0`` on A's codomain (zero if omitted).
     Build variants with ``dataclasses.replace``, which runs the checks again.
     """
 
@@ -59,7 +60,6 @@ class Problem:
     A: LinearMap
     relation: Relation
     f: np.ndarray
-    C: LinearMap | None = None
     inclusion: Subspace | None = None
     u0: np.ndarray | None = None
     tol: float = DEFAULT_PROJECTED_TOL
@@ -71,80 +71,48 @@ class Problem:
         if self.kind not in _KINDS:
             raise InputError(f"unknown problem kind {self.kind!r}")
         a = as_linear_map(self.A)
-        c = None if self.C is None else as_linear_map(self.C)
         f = np.asarray(self.f, dtype=float)
         u0 = np.zeros(a.rows) if self.u0 is None and self.kind == NEUMANN else self.u0
         u0 = None if u0 is None else np.asarray(u0, dtype=float)
-        for name, value in (("A", a), ("C", c), ("f", f), ("u0", u0)):
+        for name, value in (("A", a), ("f", f), ("u0", u0)):
             object.__setattr__(self, name, value)
-        inclusion, relation = self.inclusion, self.relation
+        inclusion = self.inclusion
         if not np.all(np.isfinite(f)):
             raise InputError("right-hand side must be finite", field="f")
-        if not (self.tol > 0.0):
-            raise InputError("tol must be positive", field="tol")
+        if not (self.tol > 0.0 and np.isfinite(10.0 * self.tol)):
+            raise InputError("tol must be positive, with 10*tol finite", field="tol")
         if not (self.max_iter >= 1):
             raise InputError("max_iter must be >= 1", field="max_iter")
-        if f.shape != (a.cols,):
-            raise InputError(f"f has shape {f.shape}, expected ({a.cols},)",
-                             field="f")
-        if self.kind != DIRICHLET and relation.dim != a.rows:
-            raise InputError("relation must live on the codomain of A")
-        if self.kind == DIRICHLET:
-            if c is None or inclusion is None:
-                raise InputError("boundary-data problems need C and the inclusion")
-            if inclusion.ambient_dim != c.cols:
-                raise InputError("inclusion must live in the domain of C")
-            if inclusion.dim != a.cols:
-                raise InputError("inclusion dimension must match the domain of A")
-            if relation.dim != c.rows:
-                raise InputError("relation must live on the codomain of C")
-            if u0 is None:
-                raise InputError("boundary-data problems need u0", field="u0")
-            if u0.shape != (c.cols,):
-                raise InputError("u0 must live in the domain of C", field="u0")
-        if self.kind == NEUMANN:
+        if self.kind != HOMOGENEOUS:
             if inclusion is None:
-                raise InputError("flux-data problems need the inclusion subspace")
+                raise InputError(f"{self.kind} problems need the inclusion subspace")
             if inclusion.ambient_dim != a.cols:
                 raise InputError("inclusion must live in the domain of A")
-            if u0.shape != (a.rows,):
-                raise InputError("u0 must live in the codomain of A", field="u0")
-            if c is not None and c.cols != inclusion.dim:
-                raise InputError("inclusion dimension must match the domain of C")
+        n = inclusion.dim if self.kind == DIRICHLET else a.cols
+        if f.shape != (n,):
+            raise InputError(f"f has shape {f.shape}, expected ({n},)", field="f")
+        if self.relation.dim != a.rows:
+            raise InputError("relation must live on the codomain of A")
+        if self.kind == DIRICHLET:
+            if u0 is None:
+                raise InputError("boundary-data problems need u0", field="u0")
+            if u0.shape != (a.cols,):
+                raise InputError("u0 must live in the domain of A", field="u0")
+        if self.kind == NEUMANN and u0.shape != (a.rows,):
+            raise InputError("u0 must live in the codomain of A", field="u0")
         if u0 is not None and not np.all(np.isfinite(u0)):
             raise InputError("u0 must be finite", field="u0")
         if self.kind == DIRICHLET:
-            object.__setattr__(self, "effective",
-                               _checked_restriction(a, c, inclusion, "A", "C"))
-        elif c is not None and self.kind == NEUMANN:
-            _checked_restriction(c, a, inclusion, "C", "A")
+            object.__setattr__(self, "effective", _composed(a, inclusion))
 
 
-def _checked_restriction(small: LinearMap, big: LinearMap, inclusion: Subspace,
-                         small_name: str, big_name: str) -> LinearMap:
-    """``big`` composed with the inclusion basis, checked to agree with ``small``.
-
-    The zero-boundary builder enumerates only the codomain rows its own
-    stencil touches, so ``small`` and ``big E`` can differ by a row
-    permutation plus zero rows.  Norms agree on every vector exactly when
-    the Gram matrices agree, which is what is compared (Frobenius norm).
-    The checked map is memoized on ``big`` (immutable, like ``small`` and
-    ``inclusion``), so a problem rebuilt over the same three objects gets
-    the same map and its factored restriction.
-    """
-    key = (small, inclusion)
-    eff = big._composed.get(key)
+def _composed(a: LinearMap, inclusion: Subspace) -> LinearMap:
+    """``A E``, memoized on ``a`` (immutable, like ``inclusion``) and keyed by
+    the inclusion, so a problem rebuilt over the same two objects gets the
+    same map and its factored restriction."""
+    eff = a._composed.get(inclusion)
     if eff is None:
-        eff = LinearMap(big.matrix @ inclusion.basis)
-        gram = small.matrix.T @ small.matrix
-        gap = float(np.linalg.norm(gram - eff.matrix.T @ eff.matrix))
-        if gap > 1e-9 * max(1.0, float(np.linalg.norm(gram))):
-            raise InputError(
-                f"{small_name} is not the restriction of {big_name} to the "
-                f"inclusion subspace (Gram matrices differ by {gap:.6e})"
-            )
-        if small is not big:  # a key holding ``big`` itself would be a cycle
-            big._composed[key] = eff
+        eff = a._composed[inclusion] = LinearMap(a.matrix @ inclusion.basis)
     return eff
 
 
@@ -240,24 +208,25 @@ def solve_homogeneous(problem: Problem, dr_start=None) -> Solution:
 
 
 def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
-    """Solve A^T a(C u) in f with u - u0 constrained to the zero-boundary space.
+    """Solve (A E)^T a(A u) in f with u - u0 in the inclusion subspace ran E.
 
-    Translates the relation by (C u0, 0), solves the homogeneous problem for
-    u - u0 through the restriction of C to the inclusion subspace, and adds
-    u0 back.  The certificate pair is (C u, v) with A^T v = f.
+    Translates the relation by (A u0, 0), solves the homogeneous problem for
+    u - u0 through the restriction of A to the inclusion subspace (the map
+    ``effective`` = A E), and adds u0 back.  The certificate pair is (A u, v)
+    with (A E)^T v = f.
     """
     if problem.kind != DIRICHLET:
         raise InputError(f"expected a boundary-data problem, got {problem.kind!r}")
     u0 = problem.u0
     eff = problem.effective
-    cu0 = problem.C.matrix @ u0
+    cu0 = problem.A.matrix @ u0
     shifted = problem.relation.shift(cu0, np.zeros_like(cu0))
     restricted, w, v, point, u_red = _homogeneous_core(
         eff, shifted, problem.f, problem.tol, problem.max_iter, dr_start,
     )
     embed = problem.inclusion.basis
     u = u0 + embed @ u_red
-    cu = problem.C.matrix @ u
+    cu = problem.A.matrix @ u
     cert = replace(point, x=cu, y=v, residual=problem.relation.graph_residual(cu, v))
     diagnostics = {
         "residual_graph": cert.residual,
@@ -269,7 +238,7 @@ def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
         "residual_kernel": restricted.ran_adj.membership_residual(u_red),
         "norm_u_h0": float(np.linalg.norm(u)),
         "norm_u_h1_c_plus_i": sobolev_norm(
-            None, SobolevNormKind.H1_C_PLUS_I, u, cmap=problem.C
+            None, SobolevNormKind.H1_C_PLUS_I, u, cmap=problem.A
         ),
         "norm_correction_h1_b": float(np.linalg.norm(eff.matrix @ u_red)),
         "norm_f_hm1_b": sobolev_norm(restricted, SobolevNormKind.HM1_B, problem.f),
@@ -294,10 +263,10 @@ def _normalized_max(images, values) -> float:
 
 
 def solve_neumann(problem: Problem, dr_start=None) -> Solution:
-    """Solve C^T a(A u) in f with flux data u0, in the weak sense.
+    """Solve the flux-data problem for A with flux data u0, in the weak sense.
 
-    The functional f - C^* u0 is restricted to the admissible test space
-    W (kernel complement intersected with the inclusion subspace), extended
+    The functional f - A^T u0 is restricted to the admissible test space W
+    (kernel complement intersected with the inclusion subspace), extended
     by zero on the graph-orthogonal complement of W, and represented by a
     Riesz vector; the homogeneous solve then runs against the relation
     translated by (0, u0).  The reported flux v satisfies
@@ -358,10 +327,9 @@ def solve(problem: Problem, dr_start=None) -> Solution:
     return solve_neumann(problem, dr_start)
 
 
-def _same_map(m1: LinearMap | None, m2: LinearMap | None) -> bool:
+def _same_map(m1: LinearMap, m2: LinearMap) -> bool:
     """Equal entries; the same object (as in a ``replace`` variant) short-cuts."""
-    return m1 is m2 or (m1 is not None and m2 is not None
-                        and np.array_equal(m1.matrix, m2.matrix))
+    return m1 is m2 or np.array_equal(m1.matrix, m2.matrix)
 
 
 def _require_same_setting(p1: Problem, p2: Problem, kind):
@@ -369,8 +337,6 @@ def _require_same_setting(p1: Problem, p2: Problem, kind):
         raise InputError(f"both problems must be of kind {kind!r}")
     if not _same_map(p1.A, p2.A):
         raise InputError("the two problems must share the operator A")
-    if not _same_map(p1.C, p2.C):
-        raise InputError("the two problems must share the operator C")
     if p1.relation is not p2.relation:
         raise InputError("the two problems must share the relation object")
 
@@ -380,7 +346,7 @@ def verify_dirichlet_estimate(p1: Problem, p2: Problem,
     """Check the explicit continuity bound for boundary-data problems.
 
     For a linear relation the adjoint-relation element is the transpose
-    applied to C(u0 - v0); otherwise the boundary data must coincide (the
+    applied to A(u0 - v0); otherwise the boundary data must coincide (the
     element is then zero).  The bound chains the graph-norm embedding
     constant with the strong-monotonicity estimate, Young's inequality
     applied with epsilon = c.
@@ -391,7 +357,7 @@ def verify_dirichlet_estimate(p1: Problem, p2: Problem,
     eff = p1.effective
     restricted = restrict_operator(eff)
     du0 = p1.u0 - p2.u0
-    cdu0 = p1.C.matrix @ du0
+    cdu0 = p1.A.matrix @ du0
     if isinstance(relation.descriptor, LinearDescriptor):
         w0 = relation.descriptor.matrix.matrix.T @ cdu0
         w0_norm = float(np.linalg.norm(w0))
@@ -410,9 +376,9 @@ def verify_dirichlet_estimate(p1: Problem, p2: Problem,
     rhs = (
         l1 * cucv_bound
         + l1 * cdu0_norm
-        + sobolev_norm(None, SobolevNormKind.H1_C_PLUS_I, du0, cmap=p1.C)
+        + sobolev_norm(None, SobolevNormKind.H1_C_PLUS_I, du0, cmap=p1.A)
     )
-    lhs = sobolev_norm(None, SobolevNormKind.H1_C_PLUS_I, s1.u - s2.u, cmap=p1.C)
+    lhs = sobolev_norm(None, SobolevNormKind.H1_C_PLUS_I, s1.u - s2.u, cmap=p1.A)
     return EstimateReport(
         lhs=lhs,
         rhs=rhs,

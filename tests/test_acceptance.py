@@ -171,8 +171,8 @@ def _random_dirichlet_instance(rng, relation_name):
     rel = relation_family(relation_name, big.matrix.rows, rng)
     f = rng.standard_normal(small.matrix.cols)
     u0 = rng.standard_normal(big.matrix.cols)
-    problem = Problem("dirichlet", small.matrix, rel, f,
-                      C=big.matrix, inclusion=inclusion, u0=u0, tol=1e-10)
+    problem = Problem("dirichlet", big.matrix, rel, f,
+                      inclusion=inclusion, u0=u0, tol=1e-10)
     return problem
 
 
@@ -181,8 +181,8 @@ def test_criterion_06_dirichlet_reduction():
     small, big, inclusion = operator_pair(OperatorSpec("grad1d", (5,), 1.0))
     rel = make_linear(np.eye(4))
     ramp = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    sol = solve_dirichlet(Problem("dirichlet", small.matrix, rel, np.zeros(3),
-                                  C=big.matrix, inclusion=inclusion, u0=ramp))
+    sol = solve_dirichlet(Problem("dirichlet", big.matrix, rel, np.zeros(3),
+                                  inclusion=inclusion, u0=ramp))
     ok &= np.linalg.norm(sol.u - ramp) <= 1e-10
 
     rng = np.random.default_rng(106)
@@ -190,7 +190,7 @@ def test_criterion_06_dirichlet_reduction():
     for _ in range(5):
         f = rng.standard_normal(3)
         ud = solve_dirichlet(Problem(
-            "dirichlet", small.matrix, rel_pd, f, C=big.matrix,
+            "dirichlet", big.matrix, rel_pd, f,
             inclusion=inclusion, u0=np.zeros(5), tol=1e-13,
         )).u
         eff = LinearMap(big.matrix.matrix @ inclusion.basis)
@@ -202,8 +202,8 @@ def test_criterion_06_dirichlet_reduction():
             rng, RELATION_FAMILIES[trial % len(RELATION_FAMILIES)]
         )
         sol = solve_dirichlet(problem)
-        cu = problem.C.matrix @ sol.u
-        eff = problem.C.matrix @ problem.inclusion.basis
+        cu = problem.A.matrix @ sol.u
+        eff = problem.A.matrix @ problem.inclusion.basis
         ok &= problem.relation.graph_residual(cu, sol.certificate.y) <= 1e-9
         ok &= np.linalg.norm(eff.T @ sol.certificate.y - problem.f) <= 1e-9
     _verdict(6, "boundary-data reduction: ramp, degeneracy, certificates", ok)
@@ -217,7 +217,7 @@ def _random_neumann_instance(rng, relation_name):
     f -= f.mean()
     u0 = rng.standard_normal(big.matrix.rows)
     return Problem("neumann", big.matrix, rel, f,
-                   C=small.matrix, inclusion=inclusion, u0=u0, tol=1e-10)
+                   inclusion=inclusion, u0=u0, tol=1e-10)
 
 
 def test_criterion_07_neumann_suite():
@@ -225,7 +225,7 @@ def test_criterion_07_neumann_suite():
     small, big, inclusion = operator_pair(OperatorSpec("grad1d", (5,), 1.0))
     rel_id = make_linear(np.eye(4))
     sol = solve_neumann(Problem("neumann", big.matrix, rel_id, np.ones(5),
-                                C=small.matrix, inclusion=inclusion))
+                                inclusion=inclusion))
     ok &= np.linalg.norm(sol.u) <= 1e-9
 
     rng = np.random.default_rng(107)
@@ -258,9 +258,9 @@ def test_criterion_08_continuity_estimates():
             u0_1 = rng.standard_normal(6)
             u0_2 = u0_1.copy()
         f1, f2 = rng.standard_normal(4), rng.standard_normal(4)
-        p1 = Problem("dirichlet", small.matrix, rel, f1, C=big.matrix,
+        p1 = Problem("dirichlet", big.matrix, rel, f1,
                      inclusion=inclusion, u0=u0_1, tol=1e-10)
-        p2 = Problem("dirichlet", small.matrix, rel, f2, C=big.matrix,
+        p2 = Problem("dirichlet", big.matrix, rel, f2,
                      inclusion=inclusion, u0=u0_2, tol=1e-10)
         report = verify_dirichlet_estimate(p1, p2, solve_dirichlet(p1),
                                            solve_dirichlet(p2))
@@ -274,9 +274,9 @@ def test_criterion_08_continuity_estimates():
         f2 -= f2.mean()
         u0_1 = rng.standard_normal(big.matrix.rows)
         u0_2 = rng.standard_normal(big.matrix.rows)
-        p1 = Problem("neumann", big.matrix, rel, f1, C=small.matrix,
+        p1 = Problem("neumann", big.matrix, rel, f1,
                      inclusion=inclusion, u0=u0_1, tol=1e-10)
-        p2 = Problem("neumann", big.matrix, rel, f2, C=small.matrix,
+        p2 = Problem("neumann", big.matrix, rel, f2,
                      inclusion=inclusion, u0=u0_2, tol=1e-10)
         report = verify_neumann_estimate(p1, p2, solve_neumann(p1),
                                          solve_neumann(p2))

@@ -194,7 +194,7 @@ def test_dirichlet_verify_factors_the_effective_map_once(tmp_path, monkeypatch):
                  str(tmp_path / "report.json")]) == 0
     data = json.loads((tmp_path / "report.json").read_bytes())
     assert "dirichlet_estimate" in {c["name"] for c in data["checks"]}
-    # C E is 24 x 4 (free grad2d rows, interior columns); A itself is 12 x 4
+    # A E is 24 x 4 (free grad2d rows, interior columns): factored once
     assert shapes.count((24, 4)) == 1
 
 
@@ -330,7 +330,7 @@ def test_missing_relation_file_is_config_error(tmp_path):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_bad_tol_override_is_a_config_error(tmp_path, tol):
     out = tmp_path / "report.json"
     code = main(["solve", "--config", str(CONFIGS / "sign_diagonal.json"),
@@ -618,3 +618,37 @@ def test_kind_specific_checks_name_the_kind_they_apply_to(tmp_path, check, kind,
     error = _config_error(tmp_path, cfg)
     assert error["field"] == "checks"
     assert error["message"] == f"checks: {check} applies to {kind} problems only"
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("relation", "graphs", 5), ("relation", "graphs", 1.5),
+    ("operator", "shape", ["a"]), ("operator", "shape", [["x"]]),
+    ("operator", "shape", [4.7]), ("operator", "shape", [True]),
+    (None, "seed", -1), (None, "tol", 1e308), (None, "tol", float("inf")),
+    ("operator", "h", float("nan")), ("relation", "c", float("inf")),
+])
+def test_bad_config_values_name_their_field(tmp_path, section, key, value):
+    cfg = json.loads((CONFIGS / "sign_diagonal.json").read_text())
+    (cfg if section is None else cfg[section])[key] = value
+    field = key if section is None else f"{section}.{key}"
+    assert _config_error(tmp_path, cfg)["field"] == field
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["solve", "--config", str(CONFIGS / "sign_diagonal.json"),
+                 "--seed", "-3", "--report", str(out)])
+    assert code == 2
+    error = json.loads(out.read_bytes())["error"]
+    assert (error["code"], error["field"]) == ("config_error", "seed")
+
+
+def test_monotonicity_check_keeps_pairs_for_a_large_constant(tmp_path):
+    cfg = json.loads((CONFIGS / "neumann_1d.json").read_text())
+    cfg["relation"]["c"] = 2**70
+    cfg["checks"] = ["monotonicity"]
+    out = tmp_path / "report.json"
+    assert main(["solve", "--config", str(write_config(tmp_path, cfg)),
+                 "--report", str(out)]) == 0
+    (check,) = json.loads(out.read_bytes())["checks"]
+    assert check["pass"] and 2**70 * (1 - 1e-9) <= check["min_quotient"] < float("inf")

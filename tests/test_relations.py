@@ -514,6 +514,29 @@ def test_monotonicity_probe_linear_pd_reaches_smallest_eigenvalue():
     assert report.min_quotient <= lam_min * 1.2
 
 
+def test_monotonicity_probe_skip_rule_is_relative():
+    # |x| ~ 3 / c: an absolute cut-off on |x1 - x2|^2 would skip every pair
+    c = 2.0**70
+    report = monotonicity_probe(make_diagonal(c, [Sign()] * 4), trials=50)
+    assert report.passed
+    assert c * (1.0 - 1e-9) <= report.min_quotient < np.inf
+
+
+def test_monotonicity_probe_that_keeps_no_pair_does_not_pass():
+    # a(0) is everything: every sampled y inverts to x = 0, so no pair is kept
+    flat = Relation(3, 1.0, lambda mu, z: np.zeros_like(z), columnwise=True)
+    report = monotonicity_probe(flat, trials=20)
+    assert (report.passed, report.min_quotient, report.violations) == (False, None, 0)
+
+
+@pytest.mark.parametrize("c", [np.inf, np.nan, 0.0])
+def test_monotonicity_constant_must_be_positive_and_finite(c):
+    with pytest.raises(ConstructionError, match="positive and finite"):
+        make_diagonal(c, [Sign()])
+    with pytest.raises(ConstructionError, match="positive and finite"):
+        Relation(1, c, lambda mu, z: z)
+
+
 def _column_by_column(relation, ys):
     return np.column_stack([relation.inverse(ys[:, j]) for j in range(ys.shape[1])])
 

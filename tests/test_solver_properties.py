@@ -67,8 +67,8 @@ def _graph(kind, rng):
 def draw_problem(seed, kind):
     """One random problem of the given kind; returns it with its graph kinds."""
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, MAX_ROWS + 1))  # rows of C, the relation's dimension
-    n = int(rng.integers(2, MAX_ROWS + 1))  # columns of C
+    m = int(rng.integers(2, MAX_ROWS + 1))  # rows of A, the relation's dimension
+    n = int(rng.integers(2, MAX_ROWS + 1))  # columns of A
     rank = int(rng.integers(1, min(m, n)))  # rank-deficient
     k = int(rng.integers(1, n + 1))  # dimension of the inclusion
     pool = POOLS[int(rng.integers(len(POOLS)))]
@@ -84,10 +84,10 @@ def draw_problem(seed, kind):
     if kind == "homogeneous":
         problem = Problem(kind, cmat, relation, cmat.T @ y, tol=TOL)
     elif kind == "dirichlet":
-        problem = Problem(kind, small, relation, small.T @ y, C=cmat,
+        problem = Problem(kind, cmat, relation, small.T @ y,
                           inclusion=inclusion, u0=rng.standard_normal(n), tol=TOL)
     else:
-        problem = Problem(kind, cmat, relation, cmat.T @ y, C=small,
+        problem = Problem(kind, cmat, relation, cmat.T @ y,
                           inclusion=inclusion, u0=rng.standard_normal(m), tol=TOL)
     return problem, set(kinds)
 
@@ -117,7 +117,7 @@ def test_every_solve_certifies_and_matches_the_oracle(kind, seed):
         basis = problem.inclusion.basis
         u = basis.T @ (solution.u - problem.u0)
         u_ref = active_set_solve(problem.effective.matrix, problem.relation.c, graphs,
-                                 problem.f, input_shift=problem.C.matrix @ problem.u0)
+                                 problem.f, input_shift=problem.A.matrix @ problem.u0)
         assert _close(u, u_ref)
 
 

@@ -151,9 +151,8 @@ def test_dirichlet_solve_agrees(no_size_gate):
         u0 = rng.standard_normal(big.matrix.cols)
 
         def run():
-            problem = Problem("dirichlet", LinearMap(small.matrix.matrix), relation,
-                              f, C=LinearMap(big.matrix.matrix), inclusion=inclusion,
-                              u0=u0, tol=1e-12)
+            problem = Problem("dirichlet", LinearMap(big.matrix.matrix), relation,
+                              f, inclusion=inclusion, u0=u0, tol=1e-12)
             restricted = restrict_operator(problem.effective)
             return (solve(problem), type(restricted),
                     embedding_constant(restricted, problem.effective))
@@ -234,8 +233,8 @@ def test_sparse_path_builds_no_identity_basis(no_size_gate):
     # nor does a boundary-data solve with its estimate check
     small, big, inclusion = operator_pair(OperatorSpec("symgrad2d", (5, 5), 0.25))
     relation = make_linear(2.0 * np.eye(big.matrix.rows))
-    problem = Problem("dirichlet", small.matrix, relation,
-                      rng.standard_normal(small.matrix.cols), C=big.matrix,
+    problem = Problem("dirichlet", big.matrix, relation,
+                      rng.standard_normal(small.matrix.cols),
                       inclusion=inclusion, u0=rng.standard_normal(big.matrix.cols))
     check = cli._check_estimate(problem, solve(problem), 3, "dirichlet_estimate")
     assert check["pass"]
