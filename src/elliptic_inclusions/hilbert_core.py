@@ -193,19 +193,6 @@ class Subspace(_Projector):
         """The vector ``basis @ z`` with coordinates ``z`` in the basis."""
         return self._basis @ z
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection with another subspace of the same ambient space."""
-        if other.ambient_dim != self.ambient_dim:
-            raise InputError("subspaces live in different ambient spaces")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        n = self.ambient_dim
-        eye = np.eye(n)
-        off_self = eye - self.basis @ self.basis.T
-        off_other = eye - other.basis @ other.basis.T
-        stacked = np.vstack([off_self, off_other])
-        return kernel_basis(LinearMap(stacked))
-
     def __repr__(self):
         return f"Subspace(dim={self.dim} of R^{self.ambient_dim})"
 

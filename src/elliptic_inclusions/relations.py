@@ -551,9 +551,10 @@ def monotonicity_probe(relation: Relation, trials=200, rng_seed=0) -> Monotonici
     inverts both; trials run in column blocks of at most _PROBE_BLOCK_ENTRIES
     sampled entries, one ``inverse`` call per block.  The inverse is
     1/c-Lipschitz, so pairs with |x1 - x2| below 1e-12 |y1 - y2| / c are
-    skipped as rounding-level.  A violation of
-    <x1 - x2, y1 - y2> >= c|x1 - x2|^2 - 1e-9 is reported, not raised; the
-    report carries the smallest observed quotient.  A probe that keeps no
+    skipped as rounding-level.  A violation of <x1 - x2, y1 - y2> >=
+    c|x1 - x2|^2 - 1e-9 min(1, |x1 - x2| |y1 - y2|), a slack relative for
+    small pairs, is reported, not raised; the report carries the smallest
+    observed quotient.  A probe that keeps no
     pair shows nothing and does not pass.  A non-finite inverse raises
     ConstructionError: the relation is not what it claims to be.
     """
@@ -577,11 +578,13 @@ def monotonicity_probe(relation: Relation, trials=200, rng_seed=0) -> Monotonici
         dy = ys[:, 0] - ys[:, 1]
         nsq = np.einsum("ij,ij->i", dx, dx)
         inner = np.einsum("ij,ij->i", dx, dy)
-        kept = nsq > (1e-12 / c) ** 2 * np.einsum("ij,ij->i", dy, dy)
+        dsq = np.einsum("ij,ij->i", dy, dy)
+        kept = nsq > (1e-12 / c) ** 2 * dsq
         pairs += int(np.count_nonzero(kept))
-        nsq, inner = nsq[kept], inner[kept]
+        nsq, inner, dsq = nsq[kept], inner[kept], dsq[kept]
         min_quotient = min(min_quotient, float(np.min(inner / nsq, initial=np.inf)))
-        violations += int(np.count_nonzero(inner < c * nsq - 1e-9))
+        slack = 1e-9 * np.minimum(1.0, np.sqrt(nsq * dsq))
+        violations += int(np.count_nonzero(inner < c * nsq - slack))
     return MonotonicityReport(
         passed=pairs > 0 and violations == 0,
         min_quotient=float(min_quotient) if pairs else None,

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from .errors import CapabilityError, ConvergenceError, InputError
 from .hilbert_core import (
     LinearMap,
-    RestrictedOperator,
     SobolevNormKind,
     Subspace,
     as_linear_map,
@@ -248,18 +248,32 @@ def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
     return Solution(u=u, certificate=cert, w=w, diagnostics=diagnostics)
 
 
-def _test_space(restricted: RestrictedOperator, inclusion: Subspace):
-    """Basis of W = kernel complement of A intersected with the inclusion
-    subspace (the admissible test space), and its image A W."""
-    wb = restricted.ran_adj.intersect(inclusion).basis
-    return wb, restricted.full_map.matrix @ wb
+def _test_space(restricted, inclusion: Subspace):
+    """The admissible test space W = ker(A)^perp in ran E as (wb, aw, gram):
+    the orthonormal basis wb = E Z (Z spans ker(K^T E), K the kernel basis),
+    aw = A wb and the Cholesky factor of aw^T aw, which raises ``InputError``
+    when it does not factor (its entries underflow or overflow)."""
+    embed = inclusion.basis
+    # K^T E holds cosines, on the scale 1: a unit corner pins sigma_max there
+    pinned = scipy.linalg.block_diag(restricted.ker.basis.T @ embed, 1.0)
+    wb = embed @ kernel_basis(pinned).basis[:-1]
+    aw = restricted.full_map.matrix @ wb
+    try:
+        gram = scipy.linalg.cho_factor(aw.T @ aw)
+    except ValueError as exc:  # LinAlgError too: not positive definite
+        raise InputError(f"the test-space Gram matrix does not factor ({exc})") from exc
+    return wb, aw, gram
 
 
-def _normalized_max(images, values) -> float:
-    """Largest |value| / |image| over columns; |value| where the image is 0."""
-    scale = np.linalg.norm(images, axis=0)
-    return float(np.max(np.abs(values) / np.where(scale > 0, scale, 1.0),
-                        initial=0.0))
+def _dual_on_w(gram, r) -> float:
+    """sqrt(r^T G^-1 r): the largest z . r over z with |aw z| = 1."""
+    return float(np.sqrt(max(float(r @ scipy.linalg.cho_solve(gram, r)), 0.0)))
+
+
+def _beyond_w(restricted, aw, gram, y) -> float:
+    """|P_ran y - P_AW y|: sup <y, z> over unit z in ran(A) orthogonal to A W."""
+    p_aw = aw @ scipy.linalg.cho_solve(gram, aw.T @ y)
+    return float(np.linalg.norm(restricted.ran.project(y) - p_aw))
 
 
 def solve_neumann(problem: Problem, dr_start=None) -> Solution:
@@ -267,25 +281,21 @@ def solve_neumann(problem: Problem, dr_start=None) -> Solution:
 
     The functional f - A^T u0 is restricted to the admissible test space W
     (kernel complement intersected with the inclusion subspace), extended
-    by zero on the graph-orthogonal complement of W, and represented by a
-    Riesz vector; the homogeneous solve then runs against the relation
-    translated by (0, u0).  The reported flux v satisfies
-    <v, A w> = <f, w> on W and <v - u0, A w> = 0 on the complement.
+    by zero on the graph-orthogonal complement of W, and represented by the
+    Riesz vector A^T A w with w in W; the homogeneous solve then runs
+    against the relation translated by (0, u0).  The reported flux v
+    satisfies <v, A w> = <f, w> on W and <v - u0, A w> = 0 on the
+    complement.  Each ``residual_``/``report_`` diagnostic is a supremum
+    over test functions of unit graph norm (unit norm for the kernel
+    report), so none depends on a basis.
     """
     if problem.kind != NEUMANN:
         raise InputError(f"expected a flux-data problem, got {problem.kind!r}")
     amat = problem.A.matrix
     u0 = problem.u0
     restricted = restrict_operator(problem.A)
-    wb, aw = _test_space(restricted, problem.inclusion)
-    q1 = restricted.ran_adj.basis
-
-    cross = aw.T @ (amat @ q1)  # dim(W) x r
-    # coordinates of the graph-orthogonal projection of each q1 column
-    proj = np.linalg.solve(aw.T @ aw, cross)
-    g = q1 @ (proj.T @ (wb.T @ problem.f - aw.T @ u0))
-    # complement of W inside the kernel complement, graph-orthogonal to W
-    comp = q1 @ kernel_basis(LinearMap(cross)).basis
+    wb, aw, gram = _test_space(restricted, problem.inclusion)
+    g = amat.T @ (aw @ scipy.linalg.cho_solve(gram, wb.T @ problem.f - aw.T @ u0))
 
     shifted = problem.relation.shift(np.zeros(problem.A.rows), u0)
     _, w_vec, y, point, u = _homogeneous_core(
@@ -295,23 +305,20 @@ def solve_neumann(problem: Problem, dr_start=None) -> Solution:
     au = amat @ u
     cert = replace(point, x=au, y=v, residual=problem.relation.graph_residual(au, v))
 
-    acomp = amat @ comp
-    residual_weak = _normalized_max(aw, wb.T @ problem.f - aw.T @ v)
-    residual_bdy = _normalized_max(acomp, acomp.T @ (v - u0))
-    report_wperp = _normalized_max(acomp, comp.T @ problem.f)
-    compat = restricted.ker.basis.T @ (problem.f - amat.T @ u0)
-
     diagnostics = {
         "residual_graph": cert.residual,
-        "residual_weak_equation": residual_weak,
-        "residual_boundary_condition": residual_bdy,
+        "residual_weak_equation": _dual_on_w(gram, wb.T @ problem.f - aw.T @ v),
+        "residual_boundary_condition": _beyond_w(restricted, aw, gram, v - u0),
         "residual_range": float(np.linalg.norm(restricted.ran.project(y) - w_vec)),
         "residual_kernel": restricted.ran_adj.membership_residual(u),
         "norm_u_h0": float(np.linalg.norm(u)),
         "norm_u_h1_b": float(np.linalg.norm(au)),
         "norm_xi_hm1_b": sobolev_norm(restricted, SobolevNormKind.HM1_B, g),
-        "report_compat_kernel_max": float(np.max(np.abs(compat), initial=0.0)),
-        "report_wperp_discrepancy_max": report_wperp,
+        "report_compat_kernel_max": float(np.linalg.norm(
+            restricted.ker.basis.T @ (problem.f - amat.T @ u0))),
+        # <f, x> = <w_f, A x> on ker(A)^perp, with w_f the pull-back of f
+        "report_wperp_discrepancy_max": _beyond_w(restricted, aw, gram,
+                                                  restricted.pull_back(problem.f)),
         "n_iterations": point.iterations,
     }
     _certify(diagnostics, problem.tol)
@@ -400,10 +407,9 @@ def verify_neumann_estimate(p1: Problem, p2: Problem,
     c = p1.relation.c
     amat = p1.A.matrix
     restricted = restrict_operator(p1.A)
-    wb, aw = _test_space(restricted, p1.inclusion)
+    wb, aw, gram = _test_space(restricted, p1.inclusion)
     du0 = p1.u0 - p2.u0
-    delta = wb.T @ (p1.f - p2.f) - aw.T @ du0
-    dual = float(np.sqrt(max(float(delta @ np.linalg.solve(aw.T @ aw, delta)), 0.0)))
+    dual = _dual_on_w(gram, wb.T @ (p1.f - p2.f) - aw.T @ du0)
     data_gap = float(np.linalg.norm(restricted.ran.project(du0)))
     rhs = (dual + data_gap) / c
     lhs = float(np.linalg.norm(amat @ (s1.u - s2.u)))

@@ -252,6 +252,17 @@ def test_neumann_estimate_check_via_cli(tmp_path):
     assert by_name["neumann_estimate"]["pass"]
 
 
+@pytest.mark.parametrize("h", [1e308, 1e-154])
+def test_unusable_test_space_gram_is_an_input_error(tmp_path, h):
+    # the Gram matrix of A W underflows to zero (1e308) or overflows (1e-154)
+    cfg = json.loads((CONFIGS / "neumann_1d.json").read_text())
+    cfg["operator"]["h"] = h
+    report = run_config(write_config(tmp_path, cfg))
+    assert report.exit_code == 1
+    assert report.data["error"]["code"] == "input_error"
+    assert "test-space Gram matrix" in report.data["error"]["message"]
+
+
 def test_homogeneous_kernel_rhs_reports_error_code(tmp_path):
     cfg = {
         "schema_version": 1,

@@ -395,14 +395,6 @@ def test_transpose_pairing_identity():
         assert abs((m @ x) @ y - x @ (m.T @ y)) < 1e-12
 
 
-def test_subspace_intersection():
-    e1 = Subspace(3, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    e2 = Subspace(3, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
-    meet = e1.intersect(e2)
-    assert meet.dim == 1
-    assert abs(abs(meet.basis[0, 0]) - 1.0) < 1e-12
-
-
 def test_matrix_market_round_trip(tmp_path):
     path = tmp_path / "op.mtx"
     m = np.array([[1.0, 0.0], [0.5, -2.0], [0.0, 3.0]])

@@ -522,6 +522,15 @@ def test_monotonicity_probe_skip_rule_is_relative():
     assert c * (1.0 - 1e-9) <= report.min_quotient < np.inf
 
 
+def test_monotonicity_probe_slack_is_relative_for_tiny_values():
+    # x = 2y/c is only c/2-monotone; its pairs are far below an absolute 1e-9
+    c = 2.0**70
+    weak = Relation(3, c, lambda mu, z: 2 * z, validate=False, columnwise=True)
+    report = monotonicity_probe(weak, trials=200)
+    assert (report.passed, report.violations) == (False, 200)
+    assert report.min_quotient == pytest.approx(c / 2)
+
+
 def test_monotonicity_probe_that_keeps_no_pair_does_not_pass():
     # a(0) is everything: every sampled y inverts to x = 0, so no pair is kept
     flat = Relation(3, 1.0, lambda mu, z: np.zeros_like(z), columnwise=True)

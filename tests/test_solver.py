@@ -18,6 +18,7 @@ from elliptic_inclusions import (
     Relation,
     Sign,
     SobolevNormKind,
+    Subspace,
     build_operator,
     lipschitz_probe,
     make_diagonal,
@@ -35,6 +36,7 @@ from elliptic_inclusions.oracle import active_set_solve, linear_direct_solve
 from helpers import (
     DIRICHLET_GRAD_3,
     RELATION_FAMILIES,
+    haar_orthogonal,
     random_operator,
     random_pd_matrix,
     relation_family,
@@ -396,6 +398,112 @@ def test_neumann_compatibility_report_for_gradient():
     a = problem.A.matrix
     expected = abs(float(np.ones(5) / np.sqrt(5.0) @ (f - a.T @ u0)))
     assert sol.diagnostics["report_compat_kernel_max"] == pytest.approx(expected)
+
+
+def _symgrad_neumann(n):
+    """Free symgrad2d n x n flux-data problem, identity relation, f off the kernel."""
+    _, big, embed = operator_pair(OperatorSpec("symgrad2d", (n, n)))
+    a = big.matrix.matrix
+    q = scipy.linalg.orth(a.T)
+    f = q @ np.random.default_rng(10).standard_normal(q.shape[1])
+    return Problem("neumann", big.matrix, make_linear(np.eye(a.shape[0])), f,
+                   inclusion=embed)
+
+
+def _wperp_reference(a, embed, f):
+    """Largest <f, x> over x graph-orthogonal to W in ker(A)^perp, |A x| = 1,
+    from null_space bases of W and of that complement."""
+    w = embed @ scipy.linalg.null_space(scipy.linalg.null_space(a).T @ embed)
+    q = scipy.linalg.orth(a.T)
+    comp = q @ scipy.linalg.null_space((a @ w).T @ (a @ q))
+    b = comp.T @ f
+    ac = a @ comp
+    return float(np.sqrt(b @ np.linalg.solve(ac.T @ ac, b)))
+
+
+def test_wperp_report_is_the_supremum_over_the_complement():
+    f = np.array([1.0, -0.5, 0.25, -0.5, -0.25])
+    _, big, inclusion = grad1d_pair(5)
+    cases = [
+        Problem("neumann", big.matrix, make_diagonal(1.5, [Sign()] * 4), f,
+                inclusion=inclusion),
+        _symgrad_neumann(5),
+    ]
+    for problem in cases:
+        expected = _wperp_reference(problem.A.matrix, problem.inclusion.basis,
+                                    problem.f)
+        got = solve_neumann(problem).diagnostics["report_wperp_discrepancy_max"]
+        assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_compat_report_is_the_norm_of_the_kernel_part():
+    rng = np.random.default_rng(11)
+    problem = _symgrad_neumann(4)
+    a = problem.A.matrix
+    kernel = scipy.linalg.null_space(a)
+    assert kernel.shape[1] == 3  # the rigid motions
+    f = problem.f + kernel @ rng.standard_normal(3)
+    sol = solve_neumann(dataclasses.replace(problem, f=f))
+    expected = float(np.linalg.norm(kernel @ (kernel.T @ f)))
+    assert sol.diagnostics["report_compat_kernel_max"] == pytest.approx(expected,
+                                                                        rel=1e-10)
+
+
+def test_flux_diagnostics_do_not_depend_on_the_inclusion_basis():
+    rng = np.random.default_rng(12)
+    problem = _symgrad_neumann(4)
+    a = problem.A.matrix
+    # a kernel part and nonzero flux data make every report nontrivial
+    f = problem.f + scipy.linalg.null_space(a) @ rng.standard_normal(3)
+    u0 = rng.standard_normal(a.shape[0])
+    embed = problem.inclusion.basis
+    q = haar_orthogonal(rng, embed.shape[1])
+    plain = solve_neumann(dataclasses.replace(problem, f=f, u0=u0))
+    rotated = solve_neumann(dataclasses.replace(
+        problem, f=f, u0=u0, inclusion=Subspace(embed.shape[0], embed @ q)))
+    for key in ("report_wperp_discrepancy_max", "report_compat_kernel_max"):
+        assert plain.diagnostics[key] > 0.1
+        assert rotated.diagnostics[key] == pytest.approx(plain.diagnostics[key],
+                                                         rel=1e-10)
+    for key in ("residual_weak_equation", "residual_boundary_condition"):
+        assert abs(rotated.diagnostics[key] - plain.diagnostics[key]) <= 1e-12
+    assert np.allclose(rotated.u, plain.u, atol=1e-10)
+
+
+def test_kernel_orthogonal_to_the_inclusion_keeps_the_whole_test_space():
+    # ker A = rot^T e_0 is orthogonal to ran E: K^T E is rounding noise only,
+    # which a rank rule scaled by its own largest singular value would keep
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((6, 5))
+    a[:, 0] = 0.0
+    rot = haar_orthogonal(rng, 5)
+    a = a @ rot
+    embed = Subspace(5, rot.T[:, 1:])
+    f = embed.basis @ rng.standard_normal(4)
+    sol = solve_neumann(Problem("neumann", LinearMap(a), make_linear(np.eye(6)), f,
+                                inclusion=embed))
+    # W = ran E = ker(A)^perp: the weak equation is A^T A u = f there
+    assert np.allclose(sol.u, np.linalg.pinv(a.T @ a) @ f, atol=1e-10)
+    assert sol.diagnostics["report_wperp_discrepancy_max"] <= 1e-12
+
+
+def test_neumann_with_an_empty_test_space_solves_and_certifies():
+    # three nodes: the one interior node is not orthogonal to the constants
+    rng = np.random.default_rng(13)
+    _, big, inclusion = grad1d_pair(3)
+    rel = relation_family("sign", 2, rng)
+    f = np.array([1.0, -2.0, 1.0])
+    p1 = Problem("neumann", big.matrix, rel, f, inclusion=inclusion,
+                 u0=rng.standard_normal(2))
+    p2 = dataclasses.replace(p1, f=-f, u0=rng.standard_normal(2))
+    s1, s2 = solve_neumann(p1), solve_neumann(p2)
+    for sol in (s1, s2):
+        assert all(v <= 10.0 * p1.tol for k, v in sol.diagnostics.items()
+                   if k.startswith("residual_"))
+        assert sol.diagnostics["norm_xi_hm1_b"] == 0.0  # no test function
+    report = verify_neumann_estimate(p1, p2, s1, s2)
+    assert report.passed
+    assert report.constants["dual_gap"] == 0.0
 
 
 def _dirichlet_pair_with(rel, f1, f2, u0_1, u0_2, n=6, tol=1e-10):

@@ -305,8 +305,6 @@ def test_whole_space_builds_its_basis_on_request():
     assert np.array_equal(whole.project(x), x)
     assert whole.dim == whole.ambient_dim == 4
     assert np.array_equal(whole.basis, np.eye(4))
-    line = Subspace(4, np.eye(4)[:, :1])
-    assert whole.intersect(line).dim == 1
 
 
 def big_grid_config(tmp_path, graph):
