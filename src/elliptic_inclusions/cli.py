@@ -258,12 +258,8 @@ def parse_config(path):
     op_cfg = _get(cfg, "operator", dict, "", required=True)
     a_built, inclusion = _parse_operator_section(op_cfg, kind, "operator", base_dir)
 
-    rel_dim = a_built.matrix.rows
     rel_cfg = _get(cfg, "relation", dict, "", required=True)
-    relation = _parse_relation(rel_cfg, rel_dim, "relation", base_dir)
-    if relation.dim != rel_dim:
-        _fail(f"relation dimension {relation.dim} does not match the operator "
-              f"codomain {rel_dim}", "relation")
+    relation = _parse_relation(rel_cfg, a_built.matrix.rows, "relation", base_dir)
 
     f = _load_vector(_get(cfg, "f", (list, dict), "", required=True), "f", base_dir)
     u0 = cfg.get("u0")
@@ -361,7 +357,7 @@ def _check_oracle(problem, solution):
         a_mat = problem.effective.matrix
         f = problem.f
         shift_p = problem.A.matrix @ problem.u0
-        u_pipeline = problem.inclusion.basis.T @ (solution.u - problem.u0)
+        u_pipeline = problem.inclusion.coords(solution.u - problem.u0)
     desc = relation.descriptor
     if isinstance(desc, LinearDescriptor):
         rhs = f

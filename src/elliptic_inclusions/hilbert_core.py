@@ -128,7 +128,13 @@ class _Projector:
 
 
 class Subspace(_Projector):
-    """Subspace of R^n stored as an (n, k) matrix with orthonormal columns."""
+    """Subspace of R^n stored as an (n, k) matrix with orthonormal columns.
+
+    ``full``, ``zero`` and the coordinate subspaces of ``operators`` are
+    spans of unit vectors e_i, held as their index sets: projection,
+    coordinates and embedding are then index operations, and the 0/1 basis
+    is built only when it is read.
+    """
 
     __slots__ = ("_basis",)
 
@@ -144,7 +150,8 @@ class Subspace(_Projector):
             raise InputError("more basis vectors than ambient dimensions")
         if b.shape[1]:
             gram = b.T @ b
-            if np.max(np.abs(gram - np.eye(b.shape[1]))) > 1e-12:
+            # written so that NaN entries fail too
+            if not np.max(np.abs(gram - np.eye(b.shape[1]))) <= 1e-12:
                 raise InputError("basis columns must be orthonormal (to 1e-12)")
         self._store(b)
 
@@ -156,19 +163,18 @@ class Subspace(_Projector):
     @classmethod
     def _orthonormal(cls, basis) -> "Subspace":
         """Wrap columns that are orthonormal by construction (singular
-        vectors from LAPACK, distinct unit vectors), without the Gram check
-        of ``__init__``."""
+        vectors from LAPACK), without the Gram check of ``__init__``."""
         sub = cls.__new__(cls)
         sub._store(basis)
         return sub
 
     @classmethod
     def full(cls, n) -> "Subspace":
-        return _WholeSpace(n)
+        return _Coordinates(n, np.arange(n))
 
     @classmethod
     def zero(cls, n) -> "Subspace":
-        return cls(n, np.zeros((n, 0)))
+        return _Coordinates(n, np.arange(0))
 
     @property
     def basis(self) -> np.ndarray:
@@ -184,10 +190,11 @@ class Subspace(_Projector):
 
     def project(self, x) -> np.ndarray:
         """Orthogonal projection of ``x`` onto the subspace."""
-        x = _as_array_1d(x, self.ambient_dim, "x")
-        if self.dim == 0:
-            return np.zeros_like(x)
-        return self._basis @ (self._basis.T @ x)
+        return self.from_coords(self.coords(_as_array_1d(x, self.ambient_dim, "x")))
+
+    def coords(self, x) -> np.ndarray:
+        """The coordinates ``basis.T @ x`` of a vector or of a block's columns."""
+        return self._basis.T @ x
 
     def from_coords(self, z) -> np.ndarray:
         """The vector ``basis @ z`` with coordinates ``z`` in the basis."""
@@ -197,33 +204,39 @@ class Subspace(_Projector):
         return f"Subspace(dim={self.dim} of R^{self.ambient_dim})"
 
 
-class _WholeSpace(Subspace):
-    """R^n itself: the projection is the identity, and the identity basis
-    is built only when it is read."""
+class _Coordinates(Subspace):
+    """The span of the unit vectors e_i of R^n for i in ``index``."""
 
-    __slots__ = ("_n",)
+    __slots__ = ("_n", "_index")
 
-    def __init__(self, n):
-        self._n, self._basis = int(n), None
+    def __init__(self, n, index):
+        self._n, self._index, self._basis = int(n), np.asarray(index), None
 
     @property
     def basis(self) -> np.ndarray:
         if self._basis is None:
-            self._basis = np.eye(self._n)
-            self._basis.flags.writeable = False
+            b = np.zeros((self._n, self._index.size))
+            b[self._index, np.arange(self._index.size)] = 1.0
+            b.flags.writeable = False
+            self._basis = b
         return self._basis
 
     @property
     def ambient_dim(self) -> int:
         return self._n
 
-    dim = ambient_dim
+    @property
+    def dim(self) -> int:
+        return self._index.size
 
-    def project(self, x) -> np.ndarray:
-        return _as_array_1d(x, self._n, "x").copy()
+    def coords(self, x) -> np.ndarray:
+        return np.asarray(x, dtype=float)[self._index]
 
     def from_coords(self, z) -> np.ndarray:
-        return np.array(z, dtype=float)
+        z = np.asarray(z, dtype=float)
+        out = np.zeros((self._n,) + z.shape[1:])
+        out[self._index] = z
+        return out
 
 
 class SobolevNormKind(enum.Enum):

@@ -1,5 +1,8 @@
 """Forward-difference builders for grid gradient, symmetric-gradient, and curl.
 
+Every operator is assembled from node indices: a row is the difference
+-e_k + e_(k+stride) between a node k of a C-ordered grid and its forward
+neighbour along one axis (``_diff``), and a family stacks such blocks.
 Every operator comes in a free variant (all grid nodes are unknowns,
 differences only between adjacent nodes) and, where it makes sense, a
 zero-boundary variant (values one layer outside the index set are zero).
@@ -17,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConstructionError
-from .hilbert_core import LinearMap, Subspace, load_matrix_market
+from .hilbert_core import LinearMap, _Coordinates, load_matrix_market
 
 GRAD_1D = "grad1d"
 GRAD_2D = "grad2d"
@@ -73,24 +76,23 @@ class BuiltOperator:
     matrix: LinearMap
 
 
-def _diff_1d(n):
-    """Bidiagonal (n-1) x n forward difference, unscaled."""
-    return sp.diags_array([-np.ones(n - 1), np.ones(n - 1)], offsets=[0, 1],
-                          shape=(n - 1, n), format="csr")
-
-
-def _axis_diff(shape, axis):
-    """Forward difference along one axis of a C-ordered grid, unscaled."""
-    mats = [sp.eye_array(s, format="csr") for s in shape]
-    mats[axis] = _diff_1d(shape[axis])
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return out
+def _diff(shape, axis, rows=None):
+    """Unscaled forward differences along ``axis`` of the C-ordered grid
+    ``shape``: row k is -e_k + e_(k+stride), one row per node k of the
+    leading sub-grid with extents ``rows`` (by default every node that has a
+    forward neighbour along ``axis``), in C order."""
+    if rows is None:
+        rows = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
+    n = int(np.prod(shape))
+    k = np.arange(n).reshape(shape)[tuple(slice(r) for r in rows)].ravel()
+    stride = int(np.prod(shape[axis + 1:]))
+    return sp.csr_array((np.tile([-1.0, 1.0], k.size),
+                         np.column_stack([k, k + stride]).ravel(),
+                         np.arange(0, 2 * k.size + 1, 2)), shape=(k.size, n))
 
 
 def _free_gradient(shape, h):
-    blocks = [_axis_diff(shape, a) for a in range(len(shape))]
+    blocks = [_diff(shape, a) for a in range(len(shape))]
     return sp.vstack(blocks, format="csr") / h
 
 
@@ -99,24 +101,16 @@ def _free_symgrad_2d(shape, h):
     outputs equals the trace inner product summed with grid-point weight h^2.
 
     Normal strains sit on their forward-difference grids; the shear strain is
-    sampled on cells where both one-sided differences exist.
+    sampled on the (nx-1) x (ny-1) cells, where both one-sided differences
+    exist.
     """
-    nx, ny = shape
-    n = nx * ny
-    dx = _axis_diff(shape, 0)
-    dy = _axis_diff(shape, 1)
-    zero_x = sp.csr_array((dx.shape[0], n))
-    zero_y = sp.csr_array((dy.shape[0], n))
-    # shear differences restricted to the (nx-1) x (ny-1) cell grid
-    dy_on_cells = sp.kron(sp.eye_array(nx - 1, nx, format="csr"),
-                          _diff_1d(ny), format="csr")
-    dx_on_cells = sp.kron(_diff_1d(nx),
-                          sp.eye_array(ny - 1, ny, format="csr"), format="csr")
-    e11 = sp.hstack([dx, zero_x], format="csr")
-    e22 = sp.hstack([zero_y, dy], format="csr")
-    e12 = sp.hstack([dy_on_cells, dx_on_cells], format="csr") / np.sqrt(2.0)
+    cells = (shape[0] - 1, shape[1] - 1)
+    r2 = np.sqrt(2.0)
     # the square root h of the measure weight cancels the stencil's 1/h
-    return sp.vstack([e11, e22, e12], format="csr")
+    return sp.block_array([[_diff(shape, 0), None],
+                           [None, _diff(shape, 1)],
+                           [_diff(shape, 1, cells) / r2, _diff(shape, 0, cells) / r2]],
+                          format="csr")
 
 
 def free_gradient_3d(shape, h=1.0) -> BuiltOperator:
@@ -137,39 +131,18 @@ def _free_curl_3d(shape, h):
     result is exactly zero.
     """
     nx, ny, nz = shape
-    ex_shape = (nx - 1, ny, nz)
-    ey_shape = (nx, ny - 1, nz)
-    ez_shape = (nx, ny, nz - 1)
-    sizes = [int(np.prod(s)) for s in (ex_shape, ey_shape, ez_shape)]
-
-    def zeros(rows, cols):
-        return sp.csr_array((rows, cols))
-
-    dy_ez = _axis_diff(ez_shape, 1)
-    dz_ey = _axis_diff(ey_shape, 2)
-    fx = sp.hstack([zeros(dy_ez.shape[0], sizes[0]), -dz_ey, dy_ez], format="csr")
-
-    dz_ex = _axis_diff(ex_shape, 2)
-    dx_ez = _axis_diff(ez_shape, 0)
-    fy = sp.hstack([dz_ex, zeros(dz_ex.shape[0], sizes[1]), -dx_ez], format="csr")
-
-    dx_ey = _axis_diff(ey_shape, 0)
-    dy_ex = _axis_diff(ex_shape, 1)
-    fz = sp.hstack([-dy_ex, dx_ey, zeros(dx_ey.shape[0], sizes[2])], format="csr")
-
-    return sp.vstack([fx, fy, fz], format="csr") / h
+    ex, ey, ez = (nx - 1, ny, nz), (nx, ny - 1, nz), (nx, ny, nz - 1)
+    return sp.block_array([[None, -_diff(ey, 2), _diff(ez, 1)],
+                           [_diff(ex, 2), None, -_diff(ez, 0)],
+                           [-_diff(ex, 1), _diff(ey, 0), None]], format="csr") / h
 
 
 def _interior_columns(shape, components):
-    """Flat column indices of interior nodes on the ghost-extended grid."""
+    """Flat column indices of interior nodes on the ghost-extended grid, one
+    component after the other."""
     ext = tuple(s + 2 for s in shape)
-    grid = np.arange(int(np.prod(ext))).reshape(ext)
-    interior = grid[tuple(slice(1, -1) for _ in shape)].ravel()
-    n_ext = int(np.prod(ext))
-    cols = []
-    for comp in range(components):
-        cols.append(interior + comp * n_ext)
-    return np.concatenate(cols)
+    grid = np.arange(components * int(np.prod(ext))).reshape((components,) + ext)
+    return grid[(slice(None),) + tuple(slice(1, -1) for _ in shape)].ravel()
 
 
 def _zero_boundary_from_free(full, shape, components):
@@ -217,10 +190,11 @@ def operator_pair(spec: OperatorSpec):
     ``spec.shape`` gives the total grid extents.  Returns
     ``(small, big, inclusion)`` where ``small`` is the zero-boundary operator
     on the interior unknowns, ``big`` the free operator on all nodes, and
-    ``inclusion`` the coordinate subspace of the free unknown space holding
-    the interior unknowns (zero-extension embeds ``small``'s domain there).
-    Boundary-data and flux-data problems take ``big`` and ``inclusion``: the
-    operator with boundary conditions is ``big`` restricted to the inclusion.
+    ``inclusion`` the coordinate subspace of the free unknown space spanned
+    by the interior unknowns, held as their indices (zero-extension embeds
+    ``small``'s domain there).  Boundary-data and flux-data problems take
+    ``big`` and ``inclusion``: the operator with boundary conditions is
+    ``big`` restricted to the inclusion, a slice of its columns.
     """
     if spec.family not in _PAIR_BUILDERS:
         raise ConstructionError(
@@ -235,12 +209,8 @@ def operator_pair(spec: OperatorSpec):
     small = BuiltOperator(LinearMap(_zero_boundary_from_free(free, interior,
                                                              components)))
     big = BuiltOperator(LinearMap(free))
-    n_total = components * int(np.prod(spec.shape))
-    cols = _interior_columns(interior, components)
-    basis = np.zeros((n_total, cols.size))
-    basis[cols, np.arange(cols.size)] = 1.0
-    # distinct unit columns: orthonormal by construction, no Gram check
-    return small, big, Subspace._orthonormal(basis)
+    return small, big, _Coordinates(free.shape[1],
+                                    _interior_columns(interior, components))
 
 
 def negative_adjoint(m) -> LinearMap:

@@ -244,7 +244,7 @@ class Relation:
                     np.asarray(self.base_resolvent(mu, z1))
                     - np.asarray(self.base_resolvent(mu, z2))
                 )
-                if gap > np.linalg.norm(z1 - z2) + 1e-9:
+                if not gap <= np.linalg.norm(z1 - z2) + 1e-9:  # NaN fails
                     raise ConstructionError(
                         "base resolvent is not nonexpansive; the base part "
                         "is not monotone"

@@ -92,7 +92,8 @@ class Problem:
         if f.shape != (n,):
             raise InputError(f"f has shape {f.shape}, expected ({n},)", field="f")
         if self.relation.dim != a.rows:
-            raise InputError("relation must live on the codomain of A")
+            raise InputError(f"relation dimension {self.relation.dim} does not match "
+                             f"the codomain of A (dimension {a.rows})", field="relation")
         if self.kind == DIRICHLET:
             if u0 is None:
                 raise InputError("boundary-data problems need u0", field="u0")
@@ -112,7 +113,8 @@ def _composed(a: LinearMap, inclusion: Subspace) -> LinearMap:
     same map and its factored restriction."""
     eff = a._composed.get(inclusion)
     if eff is None:
-        eff = a._composed[inclusion] = LinearMap(a.matrix @ inclusion.basis)
+        # (E^T A^T)^T: a column slice of A for a coordinate inclusion
+        eff = a._composed[inclusion] = LinearMap(inclusion.coords(a.matrix.T).T)
     return eff
 
 
@@ -224,17 +226,14 @@ def solve_dirichlet(problem: Problem, dr_start=None) -> Solution:
     restricted, w, v, point, u_red = _homogeneous_core(
         eff, shifted, problem.f, problem.tol, problem.max_iter, dr_start,
     )
-    embed = problem.inclusion.basis
-    u = u0 + embed @ u_red
+    u = u0 + problem.inclusion.from_coords(u_red)
     cu = problem.A.matrix @ u
     cert = replace(point, x=cu, y=v, residual=problem.relation.graph_residual(cu, v))
     diagnostics = {
         "residual_graph": cert.residual,
         "residual_adjoint": float(np.linalg.norm(eff.matrix.T @ v - problem.f)),
         "residual_range": float(np.linalg.norm(restricted.ran.project(v) - w)),
-        "residual_membership": float(
-            np.linalg.norm((u - u0) - embed @ (embed.T @ (u - u0)))
-        ),
+        "residual_membership": problem.inclusion.membership_residual(u - u0),
         "residual_kernel": restricted.ran_adj.membership_residual(u_red),
         "norm_u_h0": float(np.linalg.norm(u)),
         "norm_u_h1_c_plus_i": sobolev_norm(
@@ -253,13 +252,15 @@ def _test_space(restricted, inclusion: Subspace):
     the orthonormal basis wb = E Z (Z spans ker(K^T E), K the kernel basis),
     aw = A wb and the Cholesky factor of aw^T aw, which raises ``InputError``
     when it does not factor (its entries underflow or overflow)."""
-    embed = inclusion.basis
     # K^T E holds cosines, on the scale 1: a unit corner pins sigma_max there
-    pinned = scipy.linalg.block_diag(restricted.ker.basis.T @ embed, 1.0)
-    wb = embed @ kernel_basis(pinned).basis[:-1]
+    pinned = scipy.linalg.block_diag(inclusion.coords(restricted.ker.basis).T, 1.0)
+    wb = inclusion.from_coords(kernel_basis(pinned).basis[:-1])
     aw = restricted.full_map.matrix @ wb
+    # entries that overflow reach cho_factor as infs, which it rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = aw.T @ aw
     try:
-        gram = scipy.linalg.cho_factor(aw.T @ aw)
+        gram = scipy.linalg.cho_factor(gram)
     except ValueError as exc:  # LinAlgError too: not positive definite
         raise InputError(f"the test-space Gram matrix does not factor ({exc})") from exc
     return wb, aw, gram

@@ -1,11 +1,13 @@
 """Config parsing, report emission, determinism, and exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from elliptic_inclusions import oracle
 from elliptic_inclusions.cli import emit_report, main, run_config
 
 
@@ -257,7 +259,10 @@ def test_unusable_test_space_gram_is_an_input_error(tmp_path, h):
     # the Gram matrix of A W underflows to zero (1e308) or overflows (1e-154)
     cfg = json.loads((CONFIGS / "neumann_1d.json").read_text())
     cfg["operator"]["h"] = h
-    report = run_config(write_config(tmp_path, cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_config(write_config(tmp_path, cfg))
+    assert not caught, [str(w.message) for w in caught]
     assert report.exit_code == 1
     assert report.data["error"]["code"] == "input_error"
     assert "test-space Gram matrix" in report.data["error"]["message"]
@@ -663,3 +668,53 @@ def test_monotonicity_check_keeps_pairs_for_a_large_constant(tmp_path):
                  "--report", str(out)]) == 0
     (check,) = json.loads(out.read_bytes())["checks"]
     assert check["pass"] and 2**70 * (1 - 1e-9) <= check["min_quotient"] < float("inf")
+
+
+@pytest.mark.parametrize("graphs, nodes, message", [
+    ({"kind": "power", "exponent": 3.0}, 4, "cannot handle power graphs"),
+    ({"kind": "sign"}, oracle.MAX_ENUM_ROWS, f"capped at {oracle.MAX_ENUM_ROWS} rows"),
+])
+def test_oracle_beyond_enumeration_is_a_config_error(tmp_path, graphs, nodes, message):
+    # grad1d zero on `nodes` nodes has nodes + 1 rows
+    cfg = _diagonal_config(graphs, shape=nodes, f=[0.5] * nodes, checks=["oracle"])
+    error = _config_error(tmp_path, cfg)
+    assert error["field"] == "checks"
+    assert message in error["message"]
+
+
+def test_linear_relation_of_the_wrong_size_names_the_relation_field(tmp_path):
+    cfg = poisson_config(relation={"type": "linear", "matrix": np.eye(3).tolist()})
+    error = _config_error(tmp_path, cfg)
+    assert error["field"] == "relation"
+    assert error["message"] == ("relation: relation dimension 3 does not match the "
+                                "codomain of A (dimension 4)")
+
+
+def test_verify_reports_an_unknown_key_as_a_config_error(tmp_path):
+    path = write_config(tmp_path, poisson_config(extra_key=1))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(path), "--report", str(out)]) == 2
+    error = json.loads(out.read_bytes())["error"]
+    assert (error["code"], error["field"]) == ("config_error", "extra_key")
+
+
+def test_text_format_of_an_error_report(tmp_path, capsys):
+    path = write_config(tmp_path, poisson_config(extra_key=1))
+    assert main(["solve", "--config", str(path), "--format", "text"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "status: error (config_error)"
+    assert lines[1].startswith("message: ") and "extra_key" in lines[1]
+    assert lines[-1].startswith("elapsed: ") and len(lines) == 3
+
+
+def test_text_format_summarizes_a_long_solution(tmp_path, capsys):
+    n = 25
+    cfg = poisson_config(operator={"family": "grad1d", "shape": [n], "h": 1.0,
+                                   "boundary": "zero"},
+                         relation={"type": "linear", "matrix": np.eye(n + 1).tolist()},
+                         f=[1.0] * n)
+    path = write_config(tmp_path, cfg)
+    assert main(["solve", "--config", str(path), "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    u = run_config(path).data["solution"]["u"]
+    assert f"u: length {n}, euclidean norm {float(np.linalg.norm(u)):.12g}\n" in text

@@ -86,6 +86,36 @@ def test_project_special_cases():
     assert np.allclose(Subspace.zero(3).project(x), 0.0)
 
 
+def test_subspace_rejects_a_nan_basis():
+    with pytest.raises(InputError, match="orthonormal"):
+        Subspace(3, [[np.nan], [0.0], [0.0]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: Subspace.zero(n),
+    lambda n: Subspace.full(n),
+    lambda n: hilbert_core._Coordinates(
+        n, np.random.default_rng(4).choice(n, 4, replace=False)),
+], ids=["empty", "full", "random"])
+def test_coordinate_subspace_agrees_with_its_dense_basis(make):
+    n = 7
+    sub = make(n)
+    dense = Subspace(n, sub.basis)
+    expected = np.zeros((n, sub.dim))
+    expected[sub._index, np.arange(sub.dim)] = 1.0
+    assert np.array_equal(sub.basis, expected) and sub.basis.shape == (n, sub.dim)
+    rng = np.random.default_rng(5)
+    x, xs = rng.standard_normal(n), rng.standard_normal((n, 3))
+    z, zs = rng.standard_normal(sub.dim), rng.standard_normal((sub.dim, 3))
+    assert (sub.dim, sub.ambient_dim) == (dense.dim, dense.ambient_dim)
+    assert np.array_equal(sub.project(x), dense.project(x))
+    assert sub.membership_residual(x) == dense.membership_residual(x)
+    for vec in (x, xs):
+        assert np.array_equal(sub.coords(vec), dense.coords(vec))
+    for coords in (z, zs):
+        assert np.array_equal(sub.from_coords(coords), dense.from_coords(coords))
+
+
 def test_project_idempotent_and_self_adjoint():
     rng = np.random.default_rng(3)
     basis = scipy.linalg.orth(rng.standard_normal((6, 3)))

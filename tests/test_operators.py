@@ -1,5 +1,7 @@
 """Grid operator builders: stencils, nesting, kernels, adjoint convention."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.io
@@ -261,3 +263,81 @@ def test_operator_pair_matches_two_separate_builds_bitwise(family, shape):
     cols = operators._interior_columns(interior, components)
     basis[cols, np.arange(cols.size)] = 1.0
     assert inclusion.basis.tobytes() == basis.tobytes()
+
+
+def _digest(matrix):
+    """Shape and the leading 16 hex digits of the SHA-256 of the dense entries."""
+    digest = hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
+    return f"{matrix.shape[0]}x{matrix.shape[1]}:{digest[:16]}"
+
+
+# Digests of the matrices built, at h = 0.3, by the Kronecker-product
+# assembly (sp.kron of identities and 1-d difference matrices) that the
+# index-based stencils replaced; "free_gradient_3d" is that builder.
+BUILD_DIGESTS = {
+    ("grad1d", "free", (2,)): "1x2:2d5592157edf4310",
+    ("grad1d", "free", (5,)): "4x5:23c68017bd2d5097",
+    ("grad1d", "free", (9,)): "8x9:bf0b4899f17e6a4e",
+    ("grad1d", "zero", (1,)): "2x1:8d98ba02c8ea7024",
+    ("grad1d", "zero", (3,)): "4x3:5d25f5c109632dff",
+    ("grad1d", "zero", (7,)): "8x7:21eaf29ee070ed05",
+    ("grad2d", "free", (2, 2)): "4x4:7f5e75952a5c147a",
+    ("grad2d", "free", (3, 4)): "17x12:2271329c22b7c7f5",
+    ("grad2d", "free", (7, 7)): "84x49:7911f87e3d54e18c",
+    ("grad2d", "zero", (1, 3)): "10x3:58b31d1d317d42d8",
+    ("grad2d", "zero", (5, 8)): "93x40:caef1658835c91fa",
+    ("grad2d", "zero", (10, 10)): "220x100:a714c0f3d10d8462",
+    ("symgrad2d", "free", (2, 2)): "5x8:4787516699409f1b",
+    ("symgrad2d", "free", (3, 5)): "30x30:003078ba775e6f10",
+    ("symgrad2d", "free", (14, 14)): "533x392:0df1763bd4f8826e",
+    ("symgrad2d", "zero", (1, 1)): "7x2:c03eb303c2586cf6",
+    ("symgrad2d", "zero", (2, 3)): "28x12:037fac11d13085fb",
+    ("symgrad2d", "zero", (5, 7)): "129x70:852a4c090c23e2b6",
+    ("curl3d", "free", (2, 2, 2)): "6x12:71dc14b397327f62",
+    ("curl3d", "free", (4, 5, 3)): "98x133:62508d707c554ecd",
+    ("curl3d", "free", (3, 3, 4)): "52x75:675140d866b7811a",
+    ("free_gradient_3d", "free", (2, 3, 4)): "46x24:c445f1bd85fa9a84",
+    ("free_gradient_3d", "free", (4, 5, 3)): "133x60:79bd06ec8e2fd9d3",
+    ("free_gradient_3d", "free", (2, 2, 2)): "12x8:5d178d67f85fbc8c",
+}
+# (small, big, inclusion basis) of ``operator_pair`` at h = 0.3, likewise
+PAIR_DIGESTS = {
+    ("grad1d", (5,)):
+        ("4x3:5d25f5c109632dff", "4x5:23c68017bd2d5097", "5x3:bdcb5e124ee7537f"),
+    ("grad1d", (9,)):
+        ("8x7:21eaf29ee070ed05", "8x9:bf0b4899f17e6a4e", "9x7:7ca6e61e51b9ed15"),
+    ("grad2d", (3, 3)):
+        ("4x1:d2cd11ef2620dcbd", "12x9:bdd57eec9bbff575", "9x1:6234231fb909fb32"),
+    ("grad2d", (4, 6)):
+        ("22x8:10af21f095f64646", "38x24:2f761d78e0a22441", "24x8:b162e200e3a521da"),
+    ("grad2d", (7, 7)):
+        ("60x25:be4a7188112fb775", "84x49:7911f87e3d54e18c", "49x25:964bfafe19949238"),
+    ("symgrad2d", (3, 4)):
+        ("12x4:112dd725b5fa61aa", "23x24:032031ea73264571", "24x4:a0a0f857fa4ef998"),
+    ("symgrad2d", (5, 5)):
+        ("39x18:e27ad1659331fa27", "56x50:51df6d643c1c5953", "50x18:534aad7daf99f882"),
+    ("symgrad2d", (14, 14)):
+        ("480x288:f865b3febd7ff8fa", "533x392:0df1763bd4f8826e", "392x288:f51a3a09413c70a2"),
+}
+
+
+def _id(value):
+    return "x".join(map(str, value)) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("family,boundary,shape", list(BUILD_DIGESTS), ids=_id)
+def test_builders_match_the_kronecker_assembly_bitwise(family, boundary, shape):
+    if family == "free_gradient_3d":
+        built = free_gradient_3d(shape, 0.3)
+    else:
+        built = build_operator(OperatorSpec(family, shape, 0.3, boundary))
+    assert _digest(built.matrix.matrix) == BUILD_DIGESTS[family, boundary, shape]
+
+
+@pytest.mark.parametrize("family,shape", list(PAIR_DIGESTS), ids=_id)
+def test_operator_pair_matches_the_kronecker_assembly_bitwise(family, shape):
+    small, big, inclusion = operator_pair(OperatorSpec(family, shape, 0.3))
+    assert inclusion._basis is None  # a coordinate subspace: no basis until read
+    got = (_digest(small.matrix.matrix), _digest(big.matrix.matrix),
+           _digest(inclusion.basis))
+    assert got == PAIR_DIGESTS[family, shape]

@@ -546,6 +546,11 @@ def test_monotonicity_constant_must_be_positive_and_finite(c):
         Relation(1, c, lambda mu, z: z)
 
 
+def test_nan_resolvent_fails_the_nonexpansiveness_probe():
+    with pytest.raises(ConstructionError, match="not nonexpansive"):
+        Relation(3, 1.0, lambda mu, z: np.full(3, np.nan))
+
+
 def _column_by_column(relation, ys):
     return np.column_stack([relation.inverse(ys[:, j]) for j in range(ys.shape[1])])
 
